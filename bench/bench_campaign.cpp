@@ -1,8 +1,10 @@
-// Campaign throughput bench: end-to-end runs/s (cold vs checkpointed
-// warm-start), trace-recording ns/sample with heap allocations counted,
-// and golden-comparison ns/sample. Writes BENCH_campaign.json including
-// the pre-optimisation baseline measured on the same workload, so the
-// speedup is tracked in-repo.
+// Campaign throughput bench: end-to-end runs/s of the lockstep batch
+// engine against the cold oracle (one fresh from-t=0 run per request),
+// both in this process with the same thread budget, trace-recording
+// ns/sample with heap allocations counted, and golden-comparison
+// ns/sample. Writes BENCH_campaign.json including the pre-optimisation
+// baseline measured on the same workload with the same cold execution
+// path, so the speedup is tracked in-repo.
 //
 // PROPANE_SCALE=small runs a seconds-scale smoke workload (CI);
 // default/full reproduce the measured workload (speedup is only reported
@@ -20,8 +22,8 @@
 
 #include "arrestment/batch_runner.hpp"
 #include "arrestment/model.hpp"
+#include "arrestment/system.hpp"
 #include "arrestment/testcase.hpp"
-#include "arrestment/warm_start.hpp"
 #include "bench_util.hpp"
 #include "exp/paper_experiment.hpp"
 #include "fi/bootstrap.hpp"
@@ -154,7 +156,6 @@ DeltaBench run_delta_bench(const Workload& w) {
   fi::CampaignConfig config;
   config.test_case_count = static_cast<std::uint32_t>(w.cases.size());
   config.seed = 0xDE17A;
-  config.warm_start = true;
   for (const fi::BusSignalId target : arr::injection_target_bus_ids()) {
     const auto plan = fi::cross_product_plan(target, w.models, w.instants);
     config.injections.insert(config.injections.end(), plan.begin(),
@@ -212,29 +213,22 @@ struct EndToEnd {
   std::size_t runs = 0;
 };
 
-EndToEnd run_end_to_end(const Workload& w, bool warm,
-                        arr::WarmStartStats* stats_out = nullptr,
-                        fi::CampaignResult* result_out = nullptr) {
-  fi::CampaignConfig config = w.config;
-  config.warm_start = warm;
-  const auto stats = std::make_shared<arr::WarmStartStats>();
+/// Times one whole campaign through `runner`; the same helper measures the
+/// cold oracle and the batch engine, so the two rows differ only in engine.
+EndToEnd time_campaign(const fi::CampaignRunner& runner,
+                       const fi::CampaignConfig& config,
+                       fi::CampaignResult* result_out = nullptr) {
   const auto start = Clock::now();
-  fi::CampaignResult result = fi::run_campaign(
-      arr::warm_campaign_runner(w.cases, config, w.duration, stats), config);
+  fi::CampaignResult result = fi::run_campaign(runner, config);
   EndToEnd out;
   out.wall_s = seconds_since(start);
   out.runs = result.run_count();
   out.runs_per_s = static_cast<double>(out.runs) / out.wall_s;
-  if (stats_out != nullptr) {
-    stats_out->warm_runs = stats->warm_runs.load();
-    stats_out->cold_runs = stats->cold_runs.load();
-    stats_out->saved_ms = stats->saved_ms.load();
-  }
   if (result_out != nullptr) *result_out = std::move(result);
   return out;
 }
 
-/// Bootstrap resampling throughput over the warm campaign's records: no
+/// Bootstrap resampling throughput over the cold campaign's records: no
 /// re-simulation, just mask redraws + graph propagation per replicate.
 struct BootstrapBench {
   std::size_t replicates = 0;
@@ -268,47 +262,15 @@ BootstrapBench run_bootstrap_bench(const fi::CampaignResult& campaign,
   return out;
 }
 
-/// Lockstep batched campaign: same workload and warm-start checkpoints,
-/// but injection runs execute as SoA batches with divergence-masked early
-/// exit instead of one trace at a time.
-EndToEnd run_end_to_end_batched(const Workload& w,
-                                arr::BatchRunStats* stats_out) {
-  fi::CampaignConfig config = w.config;
-  config.warm_start = true;
-  const auto stats = std::make_shared<arr::BatchRunStats>();
-  const auto start = Clock::now();
-  const fi::CampaignResult result = fi::run_campaign(
-      arr::batched_campaign_runner(w.cases, config, w.duration, nullptr,
-                                   stats),
-      config);
-  EndToEnd out;
-  out.wall_s = seconds_since(start);
-  out.runs = result.run_count();
-  out.runs_per_s = static_cast<double>(out.runs) / out.wall_s;
-  if (stats_out != nullptr) {
-    stats_out->batches = stats->batches.load();
-    stats_out->batched_lanes = stats->batched_lanes.load();
-    stats_out->retired_converged = stats->retired_converged.load();
-    stats_out->retired_exhausted = stats->retired_exhausted.load();
-    stats_out->never_fire_lanes = stats->never_fire_lanes.load();
-    stats_out->saved_lane_ms = stats->saved_lane_ms.load();
-  }
-  return out;
-}
-
 /// Sparse plan: ONE error model on ONE target, swept across many distinct
 /// injection instants. Every (test case, fire tick) group holds exactly
 /// one run -- the worst case for a planner that only batches within a
 /// group (lane occupancy 1/width), and the scenario cross-test-case /
 /// cross-fire-tick packing exists for.
 struct SparseBench {
-  std::size_t runs = 0;
   std::size_t instants = 0;
-  double scalar_wall_s = 0.0;
-  double scalar_runs_per_s = 0.0;
-  double batch_wall_s = 0.0;
-  double batch_runs_per_s = 0.0;
-  double speedup = 0.0;          // batch vs scalar warm, same plan
+  EndToEnd cold;
+  EndToEnd batch;
   double occupancy = 0.0;        // batched_lanes / (batches x width)
   std::size_t batches = 0;
   std::size_t batched_lanes = 0;
@@ -320,7 +282,6 @@ SparseBench run_sparse_bench(const Workload& w) {
   fi::CampaignConfig config;
   config.test_case_count = static_cast<std::uint32_t>(w.cases.size());
   config.seed = 0x5BA25E;
-  config.warm_start = true;
   // One bit, many instants: 100 ms apart so neighbouring instants land in
   // the same packed batch with a sub-second stagger span.
   const std::size_t instants = w.scale == "smoke" ? 16 : 128;
@@ -333,40 +294,24 @@ SparseBench run_sparse_bench(const Workload& w) {
 
   SparseBench out;
   out.instants = instants;
-  {
-    const auto start = Clock::now();
-    const fi::CampaignResult scalar = fi::run_campaign(
-        arr::warm_campaign_runner(w.cases, config, w.duration), config);
-    out.scalar_wall_s = seconds_since(start);
-    out.runs = scalar.run_count();
-    out.scalar_runs_per_s =
-        static_cast<double>(out.runs) / out.scalar_wall_s;
-  }
-  {
-    const auto stats = std::make_shared<arr::BatchRunStats>();
-    const auto start = Clock::now();
-    fi::run_campaign(arr::batched_campaign_runner(w.cases, config,
-                                                  w.duration, nullptr, stats),
-                     config);
-    out.batch_wall_s = seconds_since(start);
-    out.batch_runs_per_s =
-        static_cast<double>(out.runs) / out.batch_wall_s;
-    out.batches = stats->batches.load();
-    out.batched_lanes = stats->batched_lanes.load();
-    out.occupancy = lane_occupancy(*stats, fi::kDefaultBatchSize);
-  }
-  out.speedup = out.scalar_wall_s > 0.0 && out.batch_wall_s > 0.0
-                    ? out.scalar_wall_s / out.batch_wall_s
-                    : 0.0;
+  out.cold = time_campaign(arr::campaign_runner(w.cases, w.duration), config);
+  const auto stats = std::make_shared<arr::BatchRunStats>();
+  out.batch = time_campaign(
+      arr::batched_campaign_runner(w.cases, config, w.duration, nullptr,
+                                   stats),
+      config);
+  out.batches = stats->batches.load();
+  out.batched_lanes = stats->batched_lanes.load();
+  out.occupancy = lane_occupancy(*stats, fi::kDefaultBatchSize);
   return out;
 }
 
 /// Multi-worker serve bench: the scale's standard plan (the one `campaign
 /// serve` dispatches, so workers spawned from the CLI re-derive the exact
-/// manifest) run three ways -- single process, serve with 1 worker, serve
-/// with 2 workers. Dispatch overhead is the 1-worker vs single-process
-/// gap; scaling is the 2-worker vs 1-worker gap (bounded by the machine's
-/// CPU count, which the JSON records). Worker counts beyond the CPU count
+/// manifest) run three ways -- single process on the workers' batch
+/// engine, serve with 1 worker, serve with 2 workers. Dispatch overhead is
+/// the 1-worker vs single-process gap; scaling is the 2-worker vs 1-worker
+/// gap (bounded by the machine's CPU count, which the JSON records). Worker counts beyond the CPU count
 /// are *skipped* (recorded with a skip reason): on an oversubscribed host
 /// the processes time-slice one core and the resulting "speedup" is
 /// scheduler noise, not signal.
@@ -401,7 +346,7 @@ ServeBench run_serve_bench(const exp::ExperimentScale& scale,
     fs::remove_all(dir);
     const auto start = Clock::now();
     const store::JournalRunSummary summary = store::run_journaled_campaign(
-        arr::warm_campaign_runner(cases, config, scale.duration), config,
+        arr::batched_campaign_runner(cases, config, scale.duration), config,
         dir);
     out.single_wall_s = seconds_since(start);
     out.total_runs = summary.total_runs;
@@ -446,7 +391,7 @@ ServeBench run_serve_bench(const exp::ExperimentScale& scale,
 int main() {
   using namespace propane;
   bench::banner("campaign throughput (flat traces, memcmp compare, "
-                "checkpointed warm start)");
+                "batch engine vs cold oracle)");
 
   const exp::ExperimentScale scale = exp::scale_from_env();
   const Workload w = make_workload(scale);
@@ -517,49 +462,47 @@ int main() {
                 compare_identical_ns, compare_diverged_ns, kCompareReps);
   }
 
-  // --- end-to-end campaign: cold vs warm ----------------------------------
-  const EndToEnd cold = run_end_to_end(w, /*warm=*/false);
+  // --- end-to-end campaign: cold oracle vs lockstep batch engine --------
+  fi::CampaignResult cold_campaign;
+  const EndToEnd cold = time_campaign(
+      arr::campaign_runner(w.cases, w.duration), w.config, &cold_campaign);
   std::printf("cold campaign: %zu runs in %.2f s  =>  %.0f runs/s\n",
               cold.runs, cold.wall_s, cold.runs_per_s);
-  arr::WarmStartStats warm_stats;
-  fi::CampaignResult warm_campaign;
-  const EndToEnd warm =
-      run_end_to_end(w, /*warm=*/true, &warm_stats, &warm_campaign);
-  std::printf("warm campaign: %zu runs in %.2f s  =>  %.0f runs/s "
-              "(%zu warm, %zu cold-fallback, %llu sim-ms skipped)\n",
-              warm.runs, warm.wall_s, warm.runs_per_s,
-              warm_stats.warm_runs.load(), warm_stats.cold_runs.load(),
-              static_cast<unsigned long long>(warm_stats.saved_ms.load()));
-
-  // --- lockstep batched campaign ------------------------------------------
   const std::size_t lane_width = fi::kDefaultBatchSize;
-  arr::BatchRunStats batch_stats;
-  const EndToEnd batch = run_end_to_end_batched(w, &batch_stats);
-  const double batch_occupancy = lane_occupancy(batch_stats, lane_width);
+  const auto warm_stats = std::make_shared<arr::WarmStartStats>();
+  const auto batch_stats = std::make_shared<arr::BatchRunStats>();
+  const EndToEnd batch =
+      time_campaign(arr::batched_campaign_runner(w.cases, w.config, w.duration,
+                                                 warm_stats, batch_stats),
+                    w.config);
+  const double batch_occupancy = lane_occupancy(*batch_stats, lane_width);
   std::printf("batch campaign: %zu runs in %.2f s  =>  %.0f runs/s "
               "(%zu batches, %zu lanes, occupancy %.2f, "
+              "%zu checkpoint-origin lanes, %zu t=0-origin lanes, "
               "%zu converged-early, %zu exhausted-early, %zu never-fire, "
-              "%llu lane-ms skipped; %.2fx vs warm)\n",
+              "%llu lane-ms skipped; %.2fx vs cold)\n",
               batch.runs, batch.wall_s, batch.runs_per_s,
-              batch_stats.batches.load(), batch_stats.batched_lanes.load(),
-              batch_occupancy,
-              batch_stats.retired_converged.load(),
-              batch_stats.retired_exhausted.load(),
-              batch_stats.never_fire_lanes.load(),
+              batch_stats->batches.load(), batch_stats->batched_lanes.load(),
+              batch_occupancy, warm_stats->warm_runs.load(),
+              warm_stats->cold_runs.load(),
+              batch_stats->retired_converged.load(),
+              batch_stats->retired_exhausted.load(),
+              batch_stats->never_fire_lanes.load(),
               static_cast<unsigned long long>(
-                  batch_stats.saved_lane_ms.load()),
-              batch.runs_per_s / warm.runs_per_s);
+                  batch_stats->saved_lane_ms.load()),
+              batch.runs_per_s / cold.runs_per_s);
 
   // --- sparse plan: 1 bit x many instants (cross-group packing) -----------
   const SparseBench sparse = run_sparse_bench(w);
-  std::printf("sparse campaign (1 bit x %zu instants): scalar warm %zu runs "
-              "in %.2f s  =>  %.0f runs/s; batch %.2f s  =>  %.0f runs/s "
-              "(%zu batches, %zu lanes, occupancy %.2f, %.2fx vs scalar "
-              "warm)\n",
-              sparse.instants, sparse.runs, sparse.scalar_wall_s,
-              sparse.scalar_runs_per_s, sparse.batch_wall_s,
-              sparse.batch_runs_per_s, sparse.batches, sparse.batched_lanes,
-              sparse.occupancy, sparse.speedup);
+  const double sparse_speedup =
+      sparse.batch.runs_per_s / sparse.cold.runs_per_s;
+  std::printf("sparse campaign (1 bit x %zu instants): cold %zu runs in "
+              "%.2f s  =>  %.0f runs/s; batch %.2f s  =>  %.0f runs/s "
+              "(%zu batches, %zu lanes, occupancy %.2f, %.2fx vs cold)\n",
+              sparse.instants, sparse.cold.runs, sparse.cold.wall_s,
+              sparse.cold.runs_per_s, sparse.batch.wall_s,
+              sparse.batch.runs_per_s, sparse.batches, sparse.batched_lanes,
+              sparse.occupancy, sparse_speedup);
 
   // --- delta campaign: cold baseline vs incremental re-run ----------------
   const DeltaBench delta = run_delta_bench(w);
@@ -571,10 +514,10 @@ int main() {
               delta.delta_batches, delta.delta_batched_lanes,
               delta.delta_lane_occupancy);
 
-  // --- bootstrap resampling over the warm campaign's records --------------
+  // --- bootstrap resampling over the cold campaign's records --------------
   const std::size_t boot_replicates = w.scale == "smoke" ? 200 : 1000;
   const BootstrapBench boot =
-      run_bootstrap_bench(warm_campaign, boot_replicates);
+      run_bootstrap_bench(cold_campaign, boot_replicates);
   std::printf("bootstrap resample: %zu replicates over %zu records "
               "(%zu cells) in %.2f s  =>  %.0f replicates/s\n",
               boot.replicates, boot.records, boot.cells, boot.wall_s,
@@ -609,16 +552,17 @@ int main() {
   }
 
   // Pre-optimisation baseline: seed commit d9e9c5d, this file's default
-  // workload (1284 runs, 15000 samples/run), same container. Measured with
-  // the then-current per-row TraceSet, per-signal compare and cold-only
-  // runner.
+  // workload (1284 runs, 15000 samples/run). Measured with the then-current
+  // per-row TraceSet, per-signal compare and cold-only runner -- the same
+  // execution path as today's cold oracle, so speedup_vs_baseline compares
+  // cold with cold.
   constexpr double kBaselineRunsPerS = 273.0;
   constexpr double kBaselineRecordNs = 66.0;
   constexpr double kBaselineRecordAllocs = 1.0;
   constexpr double kBaselineCompareIdenticalNs = 70.0;
   const bool comparable = w.scale == "default";
   const double speedup =
-      comparable ? warm.runs_per_s / kBaselineRunsPerS : 0.0;
+      comparable ? cold.runs_per_s / kBaselineRunsPerS : 0.0;
   if (comparable) {
     std::printf("\nspeedup vs baseline (%.0f runs/s at d9e9c5d): %.2fx\n",
                 kBaselineRunsPerS, speedup);
@@ -630,7 +574,7 @@ int main() {
   {
     std::ofstream json("BENCH_campaign.json");
     json << "{\"scale\":\"" << w.scale << "\""
-         << ",\"runs\":" << warm.runs
+         << ",\"runs\":" << cold.runs
          << ",\"samples_per_run\":" << samples
          << ",\"record_ns_per_sample\":" << record_ns
          << ",\"record_allocs_per_sample\":" << record_allocs
@@ -638,34 +582,31 @@ int main() {
          << ",\"compare_diverged_ns_per_sample\":" << compare_diverged_ns
          << ",\"cold\":{\"wall_s\":" << cold.wall_s
          << ",\"runs_per_s\":" << cold.runs_per_s << "}"
-         << ",\"warm\":{\"wall_s\":" << warm.wall_s
-         << ",\"runs_per_s\":" << warm.runs_per_s
-         << ",\"warm_runs\":" << warm_stats.warm_runs.load()
-         << ",\"cold_fallback_runs\":" << warm_stats.cold_runs.load()
-         << ",\"skipped_sim_ms\":" << warm_stats.saved_ms.load() << "}"
          << ",\"batch\":{\"wall_s\":" << batch.wall_s
          << ",\"runs_per_s\":" << batch.runs_per_s
-         << ",\"batches\":" << batch_stats.batches.load()
-         << ",\"batched_lanes\":" << batch_stats.batched_lanes.load()
+         << ",\"batches\":" << batch_stats->batches.load()
+         << ",\"batched_lanes\":" << batch_stats->batched_lanes.load()
          << ",\"lane_width\":" << lane_width
          << ",\"lane_occupancy\":" << batch_occupancy
-         << ",\"retired_converged\":" << batch_stats.retired_converged.load()
-         << ",\"retired_exhausted\":" << batch_stats.retired_exhausted.load()
-         << ",\"never_fire_lanes\":" << batch_stats.never_fire_lanes.load()
-         << ",\"saved_lane_ms\":" << batch_stats.saved_lane_ms.load()
-         << ",\"speedup_vs_warm\":" << batch.runs_per_s / warm.runs_per_s
+         << ",\"retired_converged\":"
+         << batch_stats->retired_converged.load()
+         << ",\"retired_exhausted\":"
+         << batch_stats->retired_exhausted.load()
+         << ",\"never_fire_lanes\":" << batch_stats->never_fire_lanes.load()
+         << ",\"saved_lane_ms\":" << batch_stats->saved_lane_ms.load()
+         << ",\"speedup_vs_cold\":" << batch.runs_per_s / cold.runs_per_s
          << "}"
-         << ",\"sparse\":{\"runs\":" << sparse.runs
+         << ",\"sparse\":{\"runs\":" << sparse.cold.runs
          << ",\"instants\":" << sparse.instants
-         << ",\"scalar_warm\":{\"wall_s\":" << sparse.scalar_wall_s
-         << ",\"runs_per_s\":" << sparse.scalar_runs_per_s << "}"
-         << ",\"batch\":{\"wall_s\":" << sparse.batch_wall_s
-         << ",\"runs_per_s\":" << sparse.batch_runs_per_s
+         << ",\"cold\":{\"wall_s\":" << sparse.cold.wall_s
+         << ",\"runs_per_s\":" << sparse.cold.runs_per_s << "}"
+         << ",\"batch\":{\"wall_s\":" << sparse.batch.wall_s
+         << ",\"runs_per_s\":" << sparse.batch.runs_per_s
          << ",\"batches\":" << sparse.batches
          << ",\"batched_lanes\":" << sparse.batched_lanes
          << ",\"lane_width\":" << lane_width
          << ",\"lane_occupancy\":" << sparse.occupancy
-         << ",\"speedup_vs_scalar_warm\":" << sparse.speedup << "}}"
+         << ",\"speedup_vs_cold\":" << sparse_speedup << "}}"
          << ",\"delta\":{\"total_runs\":" << delta.total_runs
          << ",\"cold_wall_s\":" << delta.cold_wall_s
          << ",\"executed\":" << delta.delta_executed

@@ -58,7 +58,8 @@ struct BatchInstruments {
 
 std::vector<fi::DivergenceReport> run_batch(
     const WarmStartEngine& engine, const fi::BatchRunRequest& request,
-    BatchRunStats* stats, const BatchInstruments& instruments) {
+    WarmStartStats* warm_stats, BatchRunStats* stats,
+    const BatchInstruments& instruments) {
   PROPANE_REQUIRE(!request.lanes.empty());
   if (instruments.group_lanes != nullptr) {
     instruments.group_lanes->observe(
@@ -78,7 +79,7 @@ std::vector<fi::DivergenceReport> run_batch(
   for (std::size_t i = 0; i < request.lanes.size(); ++i) {
     const fi::BatchLaneRequest& lane = request.lanes[i];
     PROPANE_REQUIRE(lane.test_case < engine.cases().size());
-    const std::uint64_t fire_ms = injection_fire_ms(lane.spec->when);
+    const std::uint64_t fire_ms = fi::injection_fire_ms(lane.spec->when);
     if (fire_ms >= engine.duration_ms()) {
       reports[i].per_signal.resize(kAllSignals.size());
     } else {
@@ -115,11 +116,11 @@ std::vector<fi::DivergenceReport> run_batch(
   }
 
   // Warm path: every segment restores its test case's golden checkpoint at
-  // the shared start tick (the warm-start engine checkpoints every test
-  // case at every distinct plan fire tick, so a packed batch warm-starts
-  // whenever any single-group batch would). fire tick 0 has no prefix, and
-  // a missing checkpoint for *any* segment sends the whole batch cold --
-  // all origins must sit at the same tick.
+  // the shared start tick (the engine checkpoints every test case at every
+  // distinct plan fire tick, so a packed batch warm-starts whenever any
+  // single-group batch would). fire tick 0 has no prefix, and a missing
+  // checkpoint for *any* segment sends the whole batch cold -- all origins
+  // must sit at the same tick.
   std::vector<std::shared_ptr<const WarmStartEngine::Checkpoint>> checkpoints;
   bool warm = start_ms > 0;
   if (warm) {
@@ -161,6 +162,16 @@ std::vector<fi::DivergenceReport> run_batch(
   }
   instruments.observe(batch, live.size(), segments.size());
 
+  if (warm_stats != nullptr) {
+    if (warm) {
+      warm_stats->warm_runs.fetch_add(live.size(), std::memory_order_relaxed);
+      warm_stats->saved_ms.fetch_add(live.size() * start_ms,
+                                     std::memory_order_relaxed);
+    } else {
+      warm_stats->cold_runs.fetch_add(live.size(), std::memory_order_relaxed);
+    }
+  }
+
   if (stats != nullptr) {
     stats->batches.fetch_add(1, std::memory_order_relaxed);
     stats->batched_lanes.fetch_add(live.size(), std::memory_order_relaxed);
@@ -185,16 +196,18 @@ fi::CampaignRunner batched_campaign_runner(
     std::shared_ptr<BatchRunStats> batch_stats,
     const obs::Telemetry* telemetry) {
   PROPANE_REQUIRE(!test_cases.empty());
-  auto engine = std::make_shared<WarmStartEngine>(
-      std::move(test_cases), config, duration, std::move(warm_stats));
+  auto engine = std::make_shared<WarmStartEngine>(std::move(test_cases),
+                                                  config, duration);
   return fi::CampaignRunner(
       [engine](const fi::RunRequest& request) {
         return engine->run(request);
       },
-      [engine, stats = std::move(batch_stats),
+      [engine, warm_stats = std::move(warm_stats),
+       stats = std::move(batch_stats),
        instruments = BatchInstruments(telemetry)](
           const fi::BatchRunRequest& request) {
-        return run_batch(*engine, request, stats.get(), instruments);
+        return run_batch(*engine, request, warm_stats.get(), stats.get(),
+                         instruments);
       });
 }
 

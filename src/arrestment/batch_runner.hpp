@@ -1,17 +1,20 @@
 // Lockstep batched campaign runner: the arrestment-side binding of the
 // campaign executor's batch planner (fi::BatchRunFunction) to the SoA
-// batched kernel (BatchedArrestmentSystem).
+// batched kernel (BatchedArrestmentSystem) -- the one engine for
+// arrestment injection runs. The cold campaign_runner (system.hpp) stays
+// as the independent oracle it is checked against.
 //
 // A batch is whatever lane set the planner packed -- lanes may mix test
 // cases (each distinct test case becomes a kernel segment with its own
 // golden lane) and fire ticks (the batch starts at the earliest live fire
 // tick; later lanes activate when their tick arrives). The runner restores
-// every segment from its test case's warm-start checkpoint at that start
+// every segment from its test case's golden-run checkpoint at that start
 // tick when one exists (composing batching with prefix reuse: each shared
 // golden prefix is simulated zero times, not N times), falls back to fresh
-// t=0 origins otherwise, and short-circuits never-firing lanes -- the
-// injection time is at/after the horizon, so the run *is* the golden run
-// -- to all-clear reports without simulating them at all.
+// t=0 origins otherwise (fire tick 0 has no prefix), and short-circuits
+// never-firing lanes -- the injection time is at/after the horizon, so the
+// run *is* the golden run -- to all-clear reports without simulating them
+// at all.
 #pragma once
 
 #include <atomic>
@@ -42,13 +45,15 @@ struct BatchRunStats {
   std::atomic<std::uint64_t> saved_lane_ms{0};
 };
 
-/// Drop-in replacement for warm_campaign_runner that additionally provides
-/// the lockstep BatchRunFunction: fi::run_campaign dispatches whole
-/// (test case, fire tick) groups to the SoA kernel, while golden runs (and
-/// any scalar fallback) execute through the shared WarmStartEngine.
-/// Results, records and journal CSVs are bit-identical to the scalar
-/// path for every batch size -- enforced by
-/// tests/fi/batch_equivalence_test.cpp.
+/// The campaign runner for the arrestment system: fi::run_campaign
+/// dispatches packed lane sets to the SoA kernel through the
+/// BatchRunFunction, while golden runs execute through the WarmStartEngine,
+/// which captures the checkpoints the batches start from. Results, records
+/// and journal CSVs are bit-identical to the cold oracle (campaign_runner)
+/// for every batch size -- enforced by tests/fi/batch_equivalence_test.cpp.
+///
+/// `warm_stats` (optional) counts each batch's live lanes by origin --
+/// checkpoint or t=0 -- and the prefix milliseconds the checkpoints saved.
 ///
 /// `telemetry` (optional, non-owning) turns on per-batch profiling:
 ///   batch.group.lanes      -- histogram, injection lanes per batch group;

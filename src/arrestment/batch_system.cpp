@@ -270,8 +270,7 @@ void BatchedArrestmentSystem::enable_recording(
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const fi::TraceSet* prefix = prefixes[s];
     // Only the rows before the origin tick seed the traces: the prefix may
-    // be exactly that long, or a full golden trace shared across fire
-    // ticks (WarmStartEngine::Checkpoint::golden).
+    // be exactly that long, or the test case's full golden trace.
     const std::size_t prefix_rows = sim::to_milliseconds(scheduler_.now());
     if (prefix != nullptr) {
       PROPANE_REQUIRE_MSG(prefix->signal_count() == signals_,

@@ -63,8 +63,8 @@ struct BatchSegment {
 class BatchedArrestmentSystem {
  public:
   /// Replicates `origin` -- a golden-run system at its current tick
-  /// (a warm-start checkpoint, or a fresh system for fire tick 0 / cold
-  /// runs) -- across `specs.size() + 1` lanes. The batch simulates from
+  /// (a golden-run checkpoint, or a fresh system for a batch starting at
+  /// tick 0) -- across `specs.size() + 1` lanes. The batch simulates from
   /// origin.now() to `duration`. (Single-segment convenience form.)
   BatchedArrestmentSystem(const ArrestmentSystem& origin,
                           std::span<const BatchLaneSpec> specs,

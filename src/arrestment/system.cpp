@@ -146,17 +146,22 @@ RunOutcome run_arrestment(const TestCase& test_case,
   return outcome;
 }
 
+fi::TraceSet run_request(const TestCase& test_case,
+                         const fi::RunRequest& request, sim::SimTime duration) {
+  RunOptions options;
+  options.duration = duration;
+  options.injection = request.injection;
+  options.rng_seed = request.rng_seed;
+  return run_arrestment(test_case, options).trace;
+}
+
 fi::RunFunction campaign_runner(std::vector<TestCase> test_cases,
                                 sim::SimTime duration) {
   PROPANE_REQUIRE(!test_cases.empty());
   return [cases = std::move(test_cases),
           duration](const fi::RunRequest& request) {
     PROPANE_REQUIRE(request.test_case < cases.size());
-    RunOptions options;
-    options.duration = duration;
-    options.injection = request.injection;
-    options.rng_seed = request.rng_seed;
-    return run_arrestment(cases[request.test_case], options).trace;
+    return run_request(cases[request.test_case], request, duration);
   };
 }
 

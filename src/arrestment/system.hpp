@@ -130,8 +130,14 @@ class ArrestmentSystem {
 RunOutcome run_arrestment(const TestCase& test_case,
                           const RunOptions& options = {});
 
+/// The cold oracle for one campaign request: a fresh system run from t=0
+/// to `duration`; returns its trace.
+fi::TraceSet run_request(const TestCase& test_case,
+                         const fi::RunRequest& request, sim::SimTime duration);
+
 /// Adapter for fi::run_campaign: executes the requested run on the given
-/// workload list and returns its trace.
+/// workload list with run_request -- the cold oracle every other engine is
+/// checked against.
 fi::RunFunction campaign_runner(std::vector<TestCase> test_cases,
                                 sim::SimTime duration = kRunDuration);
 

@@ -183,8 +183,67 @@ InjectionRecord CampaignExecutor::make_record_identity(
   return record;
 }
 
-void CampaignExecutor::execute_range_scalar(RunRange range) {
+bool CampaignExecutor::should_execute(std::size_t flat) {
+  const auto inj = static_cast<std::uint32_t>(flat / config_.test_case_count);
+  const auto tc = static_cast<std::uint32_t>(flat % config_.test_case_count);
+  if (!hooks_.should_run || hooks_.should_run(inj, tc)) return true;
+  if (instruments_->skipped_runs != nullptr) {
+    instruments_->skipped_runs->add(1);
+  }
+  // Skipped runs keep their identity fields but an empty report; callers
+  // resuming from a journal overwrite them with the stored records.
+  if (hooks_.collect_records) {
+    result_.records[flat] = make_record_identity(flat);
+  }
+  return false;
+}
+
+void CampaignExecutor::emit_run_start(std::size_t flat,
+                                      const InjectionRecord& record) const {
+  obs::emit_event(hooks_.telemetry, "campaign.run.start",
+                  {{"kind", obs::Value("injection")},
+                   {"flat", obs::Value(flat)},
+                   {"injection", obs::Value(record.injection_index)},
+                   {"test_case", obs::Value(record.test_case)}});
+}
+
+void CampaignExecutor::finish_record(std::size_t flat, InjectionRecord record,
+                                     std::uint64_t dur_us) {
   const obs::Telemetry* telemetry = hooks_.telemetry;
+  const std::size_t divergences = record.report.divergence_count();
+  if (instruments_->injection_runs != nullptr) {
+    instruments_->injection_runs->add(1);
+  }
+  if (divergences > 0) {
+    if (instruments_->diverged_runs != nullptr) {
+      instruments_->diverged_runs->add(1);
+    }
+    if (instruments_->diverged_signals != nullptr) {
+      instruments_->diverged_signals->add(divergences);
+    }
+  }
+  if (instruments_->run_latency != nullptr) {
+    instruments_->run_latency->observe(static_cast<double>(dur_us));
+  }
+  obs::emit_event(
+      telemetry, "injection.done",
+      {{"flat", obs::Value(flat)},
+       {"injection", obs::Value(record.injection_index)},
+       {"test_case", obs::Value(record.test_case)},
+       {"target", obs::Value(record.target)},
+       {"model",
+        obs::Value(config_.injections[record.injection_index].model.name)},
+       {"diverged_signals", obs::Value(divergences)},
+       {"dur_us", obs::Value(dur_us)}});
+  obs::emit_event(telemetry, "campaign.run.end",
+                  {{"kind", obs::Value("injection")},
+                   {"flat", obs::Value(flat)},
+                   {"dur_us", obs::Value(dur_us)}});
+  if (hooks_.on_record) hooks_.on_record(record);
+  if (hooks_.collect_records) result_.records[flat] = std::move(record);
+}
+
+void CampaignExecutor::execute_range_scalar(RunRange range) {
   const bool timed = instruments_->timed;
 
   // Injection runs, injection-major. The per-run seed depends only on
@@ -192,69 +251,20 @@ void CampaignExecutor::execute_range_scalar(RunRange range) {
   // how the plan was cut into ranges, so a resumed, process-split or
   // lease-dispatched campaign reproduces the exact runs an uninterrupted
   // single-process one would have performed.
-  obs::Span injection_phase(telemetry, "campaign.injection_phase");
+  obs::Span injection_phase(hooks_.telemetry, "campaign.injection_phase");
   pool_->parallel_for(range.begin, range.end, [&](std::size_t flat) {
-    const std::size_t inj = flat / config_.test_case_count;
-    const std::size_t tc = flat % config_.test_case_count;
-    InjectionRecord record;
-    record.injection_index = static_cast<std::uint32_t>(inj);
-    record.test_case = static_cast<std::uint32_t>(tc);
-    record.target = config_.injections[inj].target;
-    record.when = config_.injections[inj].when;
-
-    const bool execute =
-        !hooks_.should_run ||
-        hooks_.should_run(record.injection_index, record.test_case);
-    if (execute) {
-      obs::emit_event(telemetry, "campaign.run.start",
-                      {{"kind", obs::Value("injection")},
-                       {"flat", obs::Value(flat)},
-                       {"injection", obs::Value(inj)},
-                       {"test_case", obs::Value(tc)}});
-      const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
-      RunRequest request;
-      request.test_case = static_cast<std::uint32_t>(tc);
-      request.injection = config_.injections[inj];
-      request.rng_seed = injection_run_seed(config_, flat);
-      const TraceSet trace = runner_.run(request);
-      record.report = compare_to_golden(result_.goldens[tc], trace);
-      const std::uint64_t dur_us =
-          timed ? obs::steady_now_us() - start_us : 0;
-      const std::size_t divergences = record.report.divergence_count();
-      if (instruments_->injection_runs != nullptr) {
-        instruments_->injection_runs->add(1);
-      }
-      if (divergences > 0) {
-        if (instruments_->diverged_runs != nullptr) {
-          instruments_->diverged_runs->add(1);
-        }
-        if (instruments_->diverged_signals != nullptr) {
-          instruments_->diverged_signals->add(divergences);
-        }
-      }
-      if (instruments_->run_latency != nullptr) {
-        instruments_->run_latency->observe(static_cast<double>(dur_us));
-      }
-      obs::emit_event(
-          telemetry, "injection.done",
-          {{"flat", obs::Value(flat)},
-           {"injection", obs::Value(inj)},
-           {"test_case", obs::Value(tc)},
-           {"target", obs::Value(record.target)},
-           {"model", obs::Value(config_.injections[inj].model.name)},
-           {"diverged_signals", obs::Value(divergences)},
-           {"dur_us", obs::Value(dur_us)}});
-      obs::emit_event(telemetry, "campaign.run.end",
-                      {{"kind", obs::Value("injection")},
-                       {"flat", obs::Value(flat)},
-                       {"dur_us", obs::Value(dur_us)}});
-      if (hooks_.on_record) hooks_.on_record(record);
-    } else if (instruments_->skipped_runs != nullptr) {
-      instruments_->skipped_runs->add(1);
-    }
-    // Skipped runs keep their identity fields but an empty report; callers
-    // resuming from a journal overwrite them with the stored records.
-    if (hooks_.collect_records) result_.records[flat] = std::move(record);
+    if (!should_execute(flat)) return;
+    InjectionRecord record = make_record_identity(flat);
+    emit_run_start(flat, record);
+    const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
+    RunRequest request;
+    request.test_case = record.test_case;
+    request.injection = config_.injections[record.injection_index];
+    request.rng_seed = injection_run_seed(config_, flat);
+    record.report = compare_to_golden(result_.goldens[record.test_case],
+                                      runner_.run(request));
+    finish_record(flat, std::move(record),
+                  timed ? obs::steady_now_us() - start_us : 0);
   });
 }
 
@@ -279,20 +289,9 @@ void CampaignExecutor::execute_range_batched(RunRange range) {
            std::vector<BatchLaneRequest>>
       groups;
   for (std::size_t flat = range.begin; flat < range.end; ++flat) {
+    if (!should_execute(flat)) continue;
     const std::size_t inj = flat / config_.test_case_count;
     const std::size_t tc = flat % config_.test_case_count;
-    const bool execute = !hooks_.should_run ||
-                         hooks_.should_run(static_cast<std::uint32_t>(inj),
-                                           static_cast<std::uint32_t>(tc));
-    if (!execute) {
-      if (instruments_->skipped_runs != nullptr) {
-        instruments_->skipped_runs->add(1);
-      }
-      if (hooks_.collect_records) {
-        result_.records[flat] = make_record_identity(flat);
-      }
-      continue;
-    }
     const InjectionSpec& spec = config_.injections[inj];
     BatchLaneRequest lane;
     lane.flat = flat;
@@ -323,12 +322,11 @@ void CampaignExecutor::execute_range_batched(RunRange range) {
   obs::Span injection_phase(telemetry, "campaign.injection_phase");
   pool_->parallel_for(0, batches.size(), [&](std::size_t b) {
     const BatchRunRequest& batch = batches[b];
+    std::vector<InjectionRecord> records;
+    records.reserve(batch.lanes.size());
     for (const BatchLaneRequest& lane : batch.lanes) {
-      obs::emit_event(telemetry, "campaign.run.start",
-                      {{"kind", obs::Value("injection")},
-                       {"flat", obs::Value(lane.flat)},
-                       {"injection", obs::Value(lane.injection_index)},
-                       {"test_case", obs::Value(lane.test_case)}});
+      records.push_back(make_record_identity(lane.flat));
+      emit_run_start(lane.flat, records.back());
     }
     const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
     std::vector<DivergenceReport> reports = runner_.batch(batch);
@@ -354,42 +352,8 @@ void CampaignExecutor::execute_range_batched(RunRange range) {
                      {"dur_us", obs::Value(dur_us)}});
 
     for (std::size_t i = 0; i < batch.lanes.size(); ++i) {
-      const BatchLaneRequest& lane = batch.lanes[i];
-      InjectionRecord record = make_record_identity(lane.flat);
-      record.report = std::move(reports[i]);
-      const std::size_t divergences = record.report.divergence_count();
-      if (instruments_->injection_runs != nullptr) {
-        instruments_->injection_runs->add(1);
-      }
-      if (divergences > 0) {
-        if (instruments_->diverged_runs != nullptr) {
-          instruments_->diverged_runs->add(1);
-        }
-        if (instruments_->diverged_signals != nullptr) {
-          instruments_->diverged_signals->add(divergences);
-        }
-      }
-      if (instruments_->run_latency != nullptr) {
-        instruments_->run_latency->observe(static_cast<double>(lane_us));
-      }
-      obs::emit_event(
-          telemetry, "injection.done",
-          {{"flat", obs::Value(lane.flat)},
-           {"injection", obs::Value(lane.injection_index)},
-           {"test_case", obs::Value(lane.test_case)},
-           {"target", obs::Value(record.target)},
-           {"model",
-            obs::Value(config_.injections[lane.injection_index].model.name)},
-           {"diverged_signals", obs::Value(divergences)},
-           {"dur_us", obs::Value(lane_us)}});
-      obs::emit_event(telemetry, "campaign.run.end",
-                      {{"kind", obs::Value("injection")},
-                       {"flat", obs::Value(lane.flat)},
-                       {"dur_us", obs::Value(lane_us)}});
-      if (hooks_.on_record) hooks_.on_record(record);
-      if (hooks_.collect_records) {
-        result_.records[lane.flat] = std::move(record);
-      }
+      records[i].report = std::move(reports[i]);
+      finish_record(batch.lanes[i].flat, std::move(records[i]), lane_us);
     }
   });
 }

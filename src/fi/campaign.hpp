@@ -103,11 +103,6 @@ struct CampaignConfig {
   std::uint64_t seed = 0x9E3779B9;
   /// Worker threads (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Allow warm-starting injection runs from golden-run checkpoints taken
-  /// at each injection's fire time (honoured by checkpoint-capable runners
-  /// such as arr::warm_campaign_runner). Results are bit-identical either
-  /// way; disable to force every run to re-simulate from t=0.
-  bool warm_start = true;
   /// Lanes per lockstep batch when the runner provides a BatchRunFunction
   /// (0 = default). Pure execution knob: results and journals are
   /// bit-identical for every batch size, and the journal plan hash
@@ -252,9 +247,19 @@ class CampaignExecutor {
  private:
   struct Instruments;  // resolved telemetry handles
 
+  /// Scalar path: one runner_.run per injection run. Scalar-only runners
+  /// (the cold oracle, the two-node variant, test toys) go through here.
   void execute_range_scalar(RunRange range);
   void execute_range_batched(RunRange range);
   InjectionRecord make_record_identity(std::size_t flat) const;
+  /// hooks.should_run for one flat index; a skipped run is counted and, in
+  /// collecting mode, keeps its identity with an empty report.
+  bool should_execute(std::size_t flat);
+  void emit_run_start(std::size_t flat, const InjectionRecord& record) const;
+  /// The per-record tail both paths share: counters, latency, the
+  /// injection.done / campaign.run.end events, on_record and the collect.
+  void finish_record(std::size_t flat, InjectionRecord record,
+                     std::uint64_t dur_us);
 
   CampaignRunner runner_;
   CampaignConfig config_;

@@ -37,7 +37,7 @@ struct InjectionSpec {
 
 /// The first tick (in ms) in which an injection scheduled at `when` fires:
 /// drivers fire at the start of the first tick whose timestamp has reached
-/// `when`. Shared by the warm-start checkpoint logic (arrestment layer) and
+/// `when`. Shared by the golden-run checkpoint capture (arrestment layer) and
 /// the campaign batch planner, which groups runs by fire tick.
 inline std::uint64_t injection_fire_ms(sim::SimTime when) {
   return (when + sim::kMillisecond - 1) / sim::kMillisecond;

@@ -61,6 +61,14 @@ void Histogram::observe(double value) noexcept {
   while (!sum_.compare_exchange_weak(current, current + value,
                                      std::memory_order_relaxed)) {
   }
+  double low = min_.load(std::memory_order_relaxed);
+  while (value < low && !min_.compare_exchange_weak(
+                            low, value, std::memory_order_relaxed)) {
+  }
+  double high = max_.load(std::memory_order_relaxed);
+  while (value > high && !max_.compare_exchange_weak(
+                             high, value, std::memory_order_relaxed)) {
+  }
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
@@ -73,6 +81,11 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
 
 double HistogramSnapshot::quantile(double q) const {
   if (count == 0 || counts.empty()) return 0.0;
+  const double estimate = bucket_quantile(q);
+  return min <= max ? std::clamp(estimate, min, max) : estimate;
+}
+
+double HistogramSnapshot::bucket_quantile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(count);
   std::uint64_t cumulative = 0;
@@ -142,6 +155,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     h.counts = histogram->bucket_counts();
     h.count = histogram->count();
     h.sum = histogram->sum();
+    h.min = histogram->min();
+    h.max = histogram->max();
     snap.histograms.emplace(name, std::move(h));
   }
   return snap;

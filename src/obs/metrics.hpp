@@ -19,6 +19,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -106,12 +107,17 @@ class Histogram {
     return count_.load(std::memory_order_relaxed);
   }
   double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
+  /// Smallest / largest observed value; +inf / -inf before the first one.
+  double min() const noexcept { return min_.load(std::memory_order_relaxed); }
+  double max() const noexcept { return max_.load(std::memory_order_relaxed); }
 
  private:
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Point-in-time copy of one histogram, with quantile estimation.
@@ -120,11 +126,19 @@ struct HistogramSnapshot {
   std::vector<std::uint64_t> counts;  // upper_bounds.size() + 1, +inf last
   std::uint64_t count = 0;
   double sum = 0.0;
+  /// Observed extremes; min > max (the defaults) means unknown.
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
 
   /// Estimated q-quantile (q in [0,1]) by linear interpolation inside the
   /// bucket holding the target rank; values beyond the last finite bound
-  /// clamp to it. Returns 0 for an empty histogram.
+  /// clamp to it. The estimate is then clamped to [min, max] when known, so
+  /// it never leaves the observed range. Returns 0 for an empty histogram.
   double quantile(double q) const;
+
+ private:
+  /// The unclamped bucket-interpolated estimate.
+  double bucket_quantile(double q) const;
 };
 
 /// Point-in-time copy of a whole registry. Maps keep the iteration order

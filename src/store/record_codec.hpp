@@ -39,14 +39,6 @@
 
 namespace propane::store {
 
-// The byte codec and its hashes live in common/bytes.hpp (the delta-
-// campaign fingerprints in src/fi use them too); re-exported here because
-// they are part of this codec's vocabulary.
-using propane::ByteReader;
-using propane::ByteWriter;
-using propane::crc32;
-using propane::fnv1a64;
-
 /// Journal record kinds. The manifest is always the first record of a
 /// shard; everything after it is injection results.
 enum class RecordType : std::uint8_t {

@@ -149,8 +149,7 @@ TEST(BatchKernel, WarmCheckpointBatchRecordsBitIdenticalLaneTraces) {
   const std::vector<TestCase> cases = grid_test_cases(1, 1);
   fi::CampaignConfig config = short_config();
   config.test_case_count = 1;
-  WarmStartEngine engine(cases, config, kShortRun,
-                         std::make_shared<WarmStartStats>());
+  WarmStartEngine engine(cases, config, kShortRun);
   fi::RunRequest golden_request;  // captures the checkpoints
   const fi::TraceSet golden = engine.run(golden_request);
 
@@ -170,7 +169,7 @@ TEST(BatchKernel, WarmCheckpointBatchRecordsBitIdenticalLaneTraces) {
     lanes.push_back(BatchLaneSpec{&specs[i], 40 + i});
   }
   BatchedArrestmentSystem batch(*checkpoint->system, lanes, kShortRun);
-  batch.enable_recording(checkpoint->golden.get());
+  batch.enable_recording(&golden);
   batch.run();
 
   EXPECT_TRUE(traces_identical(batch.take_golden_trace(), golden));
@@ -196,16 +195,20 @@ TEST(BatchCampaign, RecordsMatchScalarForEveryBatchSize) {
   for (const std::size_t batch_size : kBatchSizes) {
     SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
     config.batch_size = batch_size;
+    const auto warm_stats = std::make_shared<WarmStartStats>();
     const auto stats = std::make_shared<BatchRunStats>();
     const fi::CampaignResult batched = fi::run_campaign(
-        batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
+        batched_campaign_runner(cases, config, kShortRun, warm_stats, stats),
         config);
 
-    // The batch path actually executed (never-firing lanes excepted).
+    // The batch path actually executed (never-firing lanes excepted), and
+    // every live lane started from exactly one origin.
     EXPECT_GT(stats->batches.load(), 0u);
     EXPECT_EQ(stats->batched_lanes.load() + stats->never_fire_lanes.load(),
               config.injections.size() * config.test_case_count);
     EXPECT_GT(stats->never_fire_lanes.load(), 0u);
+    EXPECT_EQ(warm_stats->warm_runs.load() + warm_stats->cold_runs.load(),
+              stats->batched_lanes.load());
 
     ASSERT_EQ(batched.goldens.size(), scalar.goldens.size());
     for (std::size_t tc = 0; tc < scalar.goldens.size(); ++tc) {
@@ -225,19 +228,33 @@ TEST(BatchCampaign, RecordsMatchScalarForEveryBatchSize) {
   }
 }
 
+// Warm start is disabled by the plan itself: every injection fires at
+// tick 0, which has no golden prefix to resume from, so every batch starts
+// from fresh t=0 origins -- run_batch's cold branch.
 TEST(BatchCampaign, ColdBatchesMatchScalarWhenWarmStartDisabled) {
   const std::vector<TestCase> cases = grid_test_cases(1, 2);
-  fi::CampaignConfig config = short_config();
-  config.warm_start = false;
+  fi::CampaignConfig config;
+  config.test_case_count = 2;
+  config.seed = 0xC01D;
   config.batch_size = 4;
+  for (const std::string_view target : {"pulscnt", "SetValue", "PACNT"}) {
+    config.injections.push_back(
+        fi::InjectionSpec{bus_id(target), 0, fi::bit_flip(2)});
+    config.injections.push_back(
+        fi::InjectionSpec{bus_id(target), 0, fi::random_replacement()});
+  }
   const fi::CampaignResult scalar =
       fi::run_campaign(campaign_runner(cases, kShortRun), config);
+  const auto warm_stats = std::make_shared<WarmStartStats>();
   const auto stats = std::make_shared<BatchRunStats>();
   const fi::CampaignResult batched = fi::run_campaign(
-      batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
+      batched_campaign_runner(cases, config, kShortRun, warm_stats, stats),
       config);
 
-  EXPECT_GT(stats->batches.load(), 0u);
+  EXPECT_EQ(stats->batches.load(), 3u);  // 12 lanes / 4 per batch
+  EXPECT_EQ(warm_stats->cold_runs.load(), 12u);
+  EXPECT_EQ(warm_stats->warm_runs.load(), 0u);
+  EXPECT_EQ(warm_stats->saved_ms.load(), 0u);
   ASSERT_EQ(batched.records.size(), scalar.records.size());
   for (std::size_t r = 0; r < scalar.records.size(); ++r) {
     EXPECT_TRUE(reports_identical(batched.records[r].report,

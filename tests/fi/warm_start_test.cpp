@@ -2,160 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "arrestment/testcase.hpp"
 
 namespace propane::arr {
 namespace {
 
-constexpr sim::SimTime kShortRun = 400 * sim::kMillisecond;
-
-fi::BusSignalId bus_id(std::string_view name) {
-  fi::SignalBus bus;
-  build_bus(bus);
-  const auto id = bus.find(name);
-  EXPECT_TRUE(id.has_value());
-  return *id;
-}
-
-fi::CampaignConfig short_config() {
-  fi::CampaignConfig config;
-  config.test_case_count = 2;
-  config.seed = 0xC0FFEE;
-  const fi::BusSignalId pulscnt = bus_id("pulscnt");
-  const fi::BusSignalId set_value = bus_id("SetValue");
-  config.injections = {
-      // Non-tick-aligned instant: fires in the *next* tick (ceil).
-      fi::InjectionSpec{pulscnt, 100 * sim::kMillisecond + 500, fi::bit_flip(3)},
-      fi::InjectionSpec{set_value, 250 * sim::kMillisecond, fi::bit_flip(9)},
-      fi::InjectionSpec{pulscnt, 250 * sim::kMillisecond,
-                        fi::random_replacement()},
-  };
-  return config;
-}
-
-::testing::AssertionResult traces_identical(const fi::TraceSet& a,
-                                            const fi::TraceSet& b) {
-  if (a.signal_count() != b.signal_count() ||
-      a.sample_count() != b.sample_count()) {
-    return ::testing::AssertionFailure() << "shape mismatch";
-  }
-  const std::size_t values = a.signal_count() * a.sample_count();
-  if (values != 0 && std::memcmp(a.data(), b.data(),
-                                 values * sizeof(std::uint16_t)) != 0) {
-    return ::testing::AssertionFailure() << "values differ";
-  }
-  return ::testing::AssertionSuccess();
-}
-
 TEST(WarmStart, FireTickRoundsUpToNextMillisecond) {
-  EXPECT_EQ(injection_fire_ms(0), 0u);
-  EXPECT_EQ(injection_fire_ms(1), 1u);
-  EXPECT_EQ(injection_fire_ms(sim::kMillisecond), 1u);
-  EXPECT_EQ(injection_fire_ms(sim::kMillisecond + 1), 2u);
-  EXPECT_EQ(injection_fire_ms(2500 * sim::kMillisecond), 2500u);
-}
-
-TEST(WarmStart, WarmRunsBitIdenticalToCold) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 2);
-  const fi::CampaignConfig config = short_config();
-  const auto stats = std::make_shared<WarmStartStats>();
-  const fi::RunFunction warm =
-      warm_campaign_runner(cases, config, kShortRun, stats);
-  const fi::RunFunction cold = campaign_runner(cases, kShortRun);
-
-  // Goldens first (they capture the checkpoints), as run_campaign does.
-  for (std::uint32_t tc = 0; tc < config.test_case_count; ++tc) {
-    fi::RunRequest request;
-    request.test_case = tc;
-    request.rng_seed = 17 + tc;
-    EXPECT_TRUE(traces_identical(warm(request), cold(request)));
-  }
-  for (std::size_t inj = 0; inj < config.injections.size(); ++inj) {
-    for (std::uint32_t tc = 0; tc < config.test_case_count; ++tc) {
-      fi::RunRequest request;
-      request.test_case = tc;
-      request.injection = config.injections[inj];
-      request.rng_seed = 1000 * inj + tc;
-      EXPECT_TRUE(traces_identical(warm(request), cold(request)))
-          << "injection " << inj << " test case " << tc;
-    }
-  }
-  // Every injection run resumed from a checkpoint; none fell back cold.
-  EXPECT_EQ(stats->warm_runs.load(), 6u);
-  EXPECT_EQ(stats->cold_runs.load(), 0u);
-  EXPECT_GT(stats->saved_ms.load(), 0u);
-}
-
-TEST(WarmStart, InjectionBeforeGoldenFallsBackCold) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 1);
-  fi::CampaignConfig config = short_config();
-  config.test_case_count = 1;
-  const auto stats = std::make_shared<WarmStartStats>();
-  const fi::RunFunction warm =
-      warm_campaign_runner(cases, config, kShortRun, stats);
-
-  fi::RunRequest request;
-  request.injection = config.injections[0];
-  request.rng_seed = 5;
-  const fi::TraceSet out = warm(request);  // no golden ran yet
-
-  RunOptions options;
-  options.duration = kShortRun;
-  options.injection = config.injections[0];
-  options.rng_seed = 5;
-  EXPECT_TRUE(traces_identical(out, run_arrestment(cases[0], options).trace));
-  EXPECT_EQ(stats->cold_runs.load(), 1u);
-  EXPECT_EQ(stats->warm_runs.load(), 0u);
-}
-
-TEST(WarmStart, DisabledConfigUsesColdRunner) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 1);
-  fi::CampaignConfig config = short_config();
-  config.test_case_count = 1;
-  config.warm_start = false;
-  const auto stats = std::make_shared<WarmStartStats>();
-  const fi::RunFunction runner =
-      warm_campaign_runner(cases, config, kShortRun, stats);
-
-  fi::RunRequest request;
-  request.injection = config.injections[1];
-  request.rng_seed = 3;
-  RunOptions options;
-  options.duration = kShortRun;
-  options.injection = config.injections[1];
-  options.rng_seed = 3;
-  EXPECT_TRUE(traces_identical(runner(request),
-                               run_arrestment(cases[0], options).trace));
-  EXPECT_EQ(stats->warm_runs.load(), 0u);
-  EXPECT_EQ(stats->cold_runs.load(), 0u);
-}
-
-TEST(WarmStart, FullCampaignMatchesColdRunnerExactly) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 2);
-  const fi::CampaignConfig config = short_config();
-  const fi::CampaignResult warm = fi::run_campaign(
-      warm_campaign_runner(cases, config, kShortRun), config);
-  const fi::CampaignResult cold =
-      fi::run_campaign(campaign_runner(cases, kShortRun), config);
-
-  ASSERT_EQ(warm.goldens.size(), cold.goldens.size());
-  for (std::size_t tc = 0; tc < warm.goldens.size(); ++tc) {
-    EXPECT_TRUE(traces_identical(warm.goldens[tc], cold.goldens[tc]));
-  }
-  ASSERT_EQ(warm.records.size(), cold.records.size());
-  for (std::size_t r = 0; r < warm.records.size(); ++r) {
-    const auto& a = warm.records[r].report.per_signal;
-    const auto& b = cold.records[r].report.per_signal;
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t s = 0; s < a.size(); ++s) {
-      EXPECT_EQ(a[s].diverged, b[s].diverged);
-      EXPECT_EQ(a[s].first_ms, b[s].first_ms);
-      EXPECT_EQ(a[s].golden_value, b[s].golden_value);
-      EXPECT_EQ(a[s].observed_value, b[s].observed_value);
-    }
-  }
+  EXPECT_EQ(fi::injection_fire_ms(0), 0u);
+  EXPECT_EQ(fi::injection_fire_ms(1), 1u);
+  EXPECT_EQ(fi::injection_fire_ms(sim::kMillisecond), 1u);
+  EXPECT_EQ(fi::injection_fire_ms(sim::kMillisecond + 1), 2u);
+  EXPECT_EQ(fi::injection_fire_ms(2500 * sim::kMillisecond), 2500u);
 }
 
 TEST(ArrestmentSystem, SnapshotCopyResumesIdentically) {

@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "arrestment/model.hpp"
+#include "arrestment/system.hpp"
 #include "arrestment/testcase.hpp"
-#include "arrestment/warm_start.hpp"
 #include "exp/paper_experiment.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -55,8 +55,9 @@ std::string serve_csv(const fs::path& dir, const core::SystemModel& model,
   return out.str();
 }
 
-/// Single-process reference journal for the smoke scale, exactly as the
-/// CLI's `campaign run --scale smoke` would produce it.
+/// Single-process reference journal for the smoke scale's plan, executed
+/// by the cold oracle (campaign_runner) -- an independent check on the
+/// workers' batched engine.
 void run_reference(const exp::ExperimentScale& scale,
                    const fi::CampaignConfig& config, const fs::path& dir) {
   const std::vector<arr::TestCase> cases =
@@ -64,7 +65,7 @@ void run_reference(const exp::ExperimentScale& scale,
           ? arr::grid_test_cases(scale.mass_count, scale.velocity_count)
           : scale.custom_cases;
   store::run_journaled_campaign(
-      arr::warm_campaign_runner(cases, config, scale.duration), config, dir);
+      arr::campaign_runner(cases, scale.duration), config, dir);
 }
 
 TEST(ServeCampaign, TwoWorkersMatchSingleProcessByteForByte) {

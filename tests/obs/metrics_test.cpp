@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -105,9 +107,35 @@ TEST(Histogram, QuantileInterpolatesWithinBucket) {
   // 75th percentile interpolates inside (10, 20].
   EXPECT_GT(snap.quantile(0.75), 10.0);
   EXPECT_LE(snap.quantile(0.75), 20.0);
-  // Everything beyond the last finite bound clamps to it.
-  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 20.0);
+  // The top rank clamps to the largest observation, not the bucket bound.
+  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 15.0);
   EXPECT_DOUBLE_EQ(HistogramSnapshot{}.quantile(0.5), 0.0);
+}
+
+TEST(Histogram, QuantilesStayWithinObservedRange) {
+  MetricsRegistry registry;
+  // One value inside a wide bucket: interpolation alone would report up to
+  // the bucket's upper bound (p99 = 9.91).
+  registry.histogram("one", {1.0, 10.0, 100.0}).observe(3.0);
+  // Values past the last finite bound: the +inf bucket alone would report
+  // that bound, below every observation.
+  Histogram& tail = registry.histogram("tail", {1.0, 10.0});
+  tail.observe(40.0);
+  tail.observe(70.0);
+  const MetricsSnapshot snap = registry.snapshot();
+  const std::map<std::string, std::pair<double, double>> observed = {
+      {"one", {3.0, 3.0}}, {"tail", {40.0, 70.0}}};
+  for (const auto& [name, range] : observed) {
+    SCOPED_TRACE(name);
+    const HistogramSnapshot& h = snap.histograms.at(name);
+    EXPECT_DOUBLE_EQ(h.min, range.first);
+    EXPECT_DOUBLE_EQ(h.max, range.second);
+    for (int i = 0; i <= 100; ++i) {
+      const double q = h.quantile(i / 100.0);
+      EXPECT_GE(q, range.first) << "q=" << i;
+      EXPECT_LE(q, range.second) << "q=" << i;
+    }
+  }
 }
 
 TEST(Snapshot, JsonIsDeterministicAndComplete) {

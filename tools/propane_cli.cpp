@@ -59,7 +59,6 @@
 #include "arrestment/model.hpp"
 #include "arrestment/system.hpp"
 #include "arrestment/testcase.hpp"
-#include "arrestment/warm_start.hpp"
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
