@@ -342,12 +342,20 @@ ServeBench run_serve_bench(const exp::ExperimentScale& scale,
           ? arr::grid_test_cases(scale.mass_count, scale.velocity_count)
           : scale.custom_cases;
   {
+    // What `campaign run` executes: the journaled entry point against an
+    // empty baseline, with the CLI's default 4 shards and version tokens.
     const fs::path dir = "bench_serve_single";
     fs::remove_all(dir);
+    const core::SystemModel model = arr::make_arrestment_model();
+    const fi::SignalBinding binding = arr::make_arrestment_binding(model);
+    store::DeltaRunOptions options;
+    options.base.shard_count = 4;
+    options.module_versions = arr::module_version_tokens();
     const auto start = Clock::now();
-    const store::JournalRunSummary summary = store::run_journaled_campaign(
-        arr::batched_campaign_runner(cases, config, scale.duration), config,
-        dir);
+    const store::DeltaJournalSummary summary =
+        store::run_delta_journaled_campaign(
+            arr::batched_campaign_runner(cases, config, scale.duration),
+            config, model, binding, dir, store::ResultCache{}, options);
     out.single_wall_s = seconds_since(start);
     out.total_runs = summary.total_runs;
     out.single_runs_per_s =

@@ -177,8 +177,9 @@ struct CampaignHooks {
       should_run;
   /// Called once per *executed* injection run with its finished record,
   /// from the worker thread that ran it; must be thread-safe. This is where
-  /// a journal sink appends.
-  std::function<void(const InjectionRecord& record)> on_record;
+  /// a journal sink appends. The hook may amend the record in place (the
+  /// delta path stamps its fingerprint) before it is collected.
+  std::function<void(InjectionRecord& record)> on_record;
   /// When false, CampaignResult::records stays empty (streaming mode: the
   /// sink is the only consumer and memory stays O(goldens), not O(runs)).
   bool collect_records = true;

@@ -292,36 +292,6 @@ EstimationResult estimate_permeability(const SystemModel& model,
   return accumulator.finish();
 }
 
-EstimationResult splice_estimation(
-    const core::SystemModel& model, const EstimationResult& cached,
-    const EstimationResult& fresh,
-    const std::vector<core::ModuleId>& invalidated) {
-  PROPANE_REQUIRE_MSG(cached.pairs.size() == fresh.pairs.size(),
-                      "estimation results describe different pair tables");
-  PROPANE_REQUIRE_MSG(
-      cached.permeability.module_count() == model.module_count() &&
-          fresh.permeability.module_count() == model.module_count(),
-      "estimation results do not describe this model");
-  EstimationResult result = cached;
-  std::vector<bool> take_fresh(model.module_count(), false);
-  for (core::ModuleId m : invalidated) {
-    PROPANE_REQUIRE(m < model.module_count());
-    take_fresh[m] = true;
-    core::splice_module_permeability(model, result.permeability,
-                                     fresh.permeability, m);
-  }
-  for (std::size_t i = 0; i < result.pairs.size(); ++i) {
-    // Both sides were produced by PermeabilityAccumulator over the same
-    // model, so pair i refers to the same (module, input, output) triple.
-    PROPANE_REQUIRE_MSG(cached.pairs[i].pair.module == fresh.pairs[i].pair.module,
-                        "estimation results describe different pair tables");
-    if (take_fresh[result.pairs[i].pair.module]) {
-      result.pairs[i] = fresh.pairs[i];
-    }
-  }
-  return result;
-}
-
 std::vector<LocationPropagation> location_propagation_stats(
     const SystemModel& model, const SignalBinding& binding,
     const CampaignResult& campaign) {

@@ -182,19 +182,6 @@ EstimationResult estimate_permeability(const core::SystemModel& model,
                                        const CampaignResult& campaign,
                                        EstimationOptions options = {});
 
-/// Compositional recombination (FastFlip-style): takes `cached` (estimated
-/// from a previous campaign) and `fresh` (estimated from a re-run), both
-/// over the same `model`, and returns `cached` with every pair belonging to
-/// a module in `invalidated` replaced by the corresponding `fresh` pair
-/// (counts, latencies and the permeability matrix entries alike). Because a
-/// module's PairEstimate counts derive solely from injections into that
-/// module's own inputs, the splice is exact: it equals a full cold
-/// re-estimation whenever the invalidated modules' records were re-run.
-EstimationResult splice_estimation(const core::SystemModel& model,
-                                   const EstimationResult& cached,
-                                   const EstimationResult& fresh,
-                                   const std::vector<core::ModuleId>& invalidated);
-
 /// Uniform-propagation statistics (related-work check against [12]): for
 /// every injection *location* -- a (target signal, error model) pair -- the
 /// fraction of its injections whose error reached any system output.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "obs/clock.hpp"
@@ -45,19 +46,12 @@ JournaledCampaignSession::JournaledCampaignSession(
   progress_ = options_.progress;
   wall_start_us_ = obs::steady_now_us();
 
-  // Reload phase: rebuild the completed-run set (and keep the records when
-  // the caller wants an in-memory CampaignResult too).
+  // Reload phase: rebuild the completed-run set.
   CampaignDirState state;
   {
     obs::Span scan_span(telemetry_, "journal.resume_scan");
     const std::uint64_t scan_start_us = obs::steady_now_us();
-    state = scan_campaign_dir(
-        dir, options_.collect_records
-                 ? std::function<void(fi::InjectionRecord&&, std::size_t)>(
-                       [&](fi::InjectionRecord&& record, std::size_t flat) {
-                         reloaded_.emplace_back(flat, std::move(record));
-                       })
-                 : nullptr);
+    state = scan_campaign_dir(dir);
     if (telemetry_ != nullptr) {
       const std::uint64_t scan_us = obs::steady_now_us() - scan_start_us;
       if (auto* gauge =
@@ -103,7 +97,7 @@ JournaledCampaignSession::~JournaledCampaignSession() = default;
 
 fi::CampaignHooks JournaledCampaignSession::hooks() {
   fi::CampaignHooks hooks;
-  hooks.collect_records = options_.collect_records;
+  hooks.collect_records = false;  // the journal is the result
   hooks.telemetry = telemetry_;
   // `completed_` is only read here (writes all happened during the scan),
   // so concurrent calls from worker threads are safe.

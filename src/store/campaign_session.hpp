@@ -1,14 +1,15 @@
 // Journal-backed campaign session: the resume/append mechanics shared by
-// run_journaled_campaign, run_delta_journaled_campaign and the campaign
-// service's worker loop (src/svc).
+// store::run_delta_journaled_campaign (the one local journaled-campaign
+// entry point, store/result_cache.hpp) and the campaign service's worker
+// loop (src/svc).
 //
 // A session owns one pass over a campaign directory: it resume-scans the
 // shards into the completed-run set, opens this session's own shard files,
 // and hands out fi::CampaignHooks that (a) filter runs already journaled or
 // owned by another process of a split and (b) append every executed record
-// durably before the worker thread picks up another run. The three callers
-// differ only in what they layer on top (nothing, delta replay bookkeeping,
-// or lease-range execution) -- the crash-safety story lives here, once.
+// durably before the worker thread picks up another run. The two callers
+// differ only in what they layer on top (delta replay bookkeeping, or
+// lease-range execution) -- the crash-safety story lives here, once.
 #pragma once
 
 #include <atomic>
@@ -17,7 +18,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "fi/campaign.hpp"
@@ -71,23 +71,17 @@ class JournaledCampaignSession {
   bool is_completed(std::size_t flat) const { return completed_[flat]; }
   ShardedJournalWriter& writer() { return *writer_; }
 
-  /// Hooks wired to this session's filter and journal sink. Callers may
-  /// copy and extend them (the delta path wraps on_record and adds replay
-  /// handling) but the returned should_run/on_record must stay in the
-  /// chain -- they are the crash-safety seam. Valid for the session's
-  /// lifetime; thread-safe as fi::CampaignHooks requires.
+  /// Hooks wired to this session's filter and journal sink, in streaming
+  /// mode (no in-memory records). Callers may copy and extend them (the
+  /// delta path wraps both to replay cache hits and stamp fingerprints)
+  /// but the returned should_run/on_record must stay in the chain -- they
+  /// are the crash-safety seam. Valid for the session's lifetime;
+  /// thread-safe as fi::CampaignHooks requires.
   fi::CampaignHooks hooks();
 
   /// Appends a record outside the executed-run path (delta replays) so it
   /// still lands in this session's shards and the byte/progress tallies.
   void append_replayed(const fi::InjectionRecord& record);
-
-  /// Records the resume scan reloaded, paired with their flat indices.
-  /// Only populated when options.collect_records; callers move them into
-  /// CampaignResult::records after the campaign.
-  std::vector<std::pair<std::size_t, fi::InjectionRecord>>& reloaded() {
-    return reloaded_;
-  }
 
   /// Snapshots the counters, flushes progress, and emits `done_event` with
   /// the shared fields plus `extra_fields`. Call once, after the campaign.
@@ -102,7 +96,6 @@ class JournaledCampaignSession {
   std::vector<std::string> warnings_;
   std::vector<bool> completed_;
   std::size_t completed_count_ = 0;
-  std::vector<std::pair<std::size_t, fi::InjectionRecord>> reloaded_;
   std::unique_ptr<ShardedJournalWriter> writer_;
   std::uint64_t journal_base_bytes_ = 0;
   std::uint64_t wall_start_us_ = 0;

@@ -1,7 +1,6 @@
 #include "store/result_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -35,10 +34,6 @@ const fi::InjectionRecord* ResultCache::find(std::uint64_t fingerprint) const {
   return it == by_fingerprint_.end() ? nullptr : &it->second;
 }
 
-fi::DeltaCacheLookup ResultCache::lookup() const {
-  return [this](std::uint64_t fingerprint) { return find(fingerprint); };
-}
-
 std::uint64_t ResultCache::fingerprint_of_flat(std::size_t flat) const {
   return flat < fingerprint_by_flat_.size() ? fingerprint_by_flat_[flat] : 0;
 }
@@ -54,8 +49,6 @@ DeltaJournalSummary run_delta_journaled_campaign(
   const Manifest manifest = manifest_for(config);
   DeltaJournalSummary summary;
   summary.total_runs = manifest.total_runs();
-  summary.baseline_records = baseline.record_count();
-  summary.baseline_unfingerprinted = baseline.unfingerprinted();
   summary.warnings = baseline.warnings();
 
   const obs::Telemetry* telemetry =
@@ -117,8 +110,8 @@ DeltaJournalSummary run_delta_journaled_campaign(
   }
 
   // Session core: resume scan of the *output* directory, shard writer and
-  // the completed/foreign filtering + durable-append hooks, shared with
-  // run_journaled_campaign and the campaign service workers.
+  // the completed/foreign filtering + durable-append hooks, shared with the
+  // campaign service workers.
   JournaledCampaignSession session(config, dir, options.base);
   summary.warnings.insert(summary.warnings.end(), session.warnings().begin(),
                           session.warnings().end());
@@ -128,28 +121,50 @@ DeltaJournalSummary run_delta_journaled_campaign(
   enum : std::uint8_t { kUntouched = 0, kExecuted = 1, kReplayed = 2 };
   std::vector<std::uint8_t> outcome(manifest.total_runs(), kUntouched);
 
-  fi::DeltaOptions delta;
-  delta.lookup = baseline.lookup();
-  delta.module_versions = options.module_versions;
-  delta.hooks = session.hooks();
-  delta.hooks.on_record = [&, append = std::move(delta.hooks.on_record)](
-                              const fi::InjectionRecord& record) {
-    append(record);
-    outcome[manifest.flat_index(record.injection_index, record.test_case)] =
-        kExecuted;
-  };
-  // Replayed records are re-appended too: the output directory is a
-  // complete journal of the plan, usable as the next delta's baseline and
-  // yielding byte-identical estimates to a cold run of the same plan.
-  delta.on_replay = [&](const fi::InjectionRecord& record) {
+  obs::Counter* hit_counter = obs::find_counter(telemetry, "delta.hits");
+  obs::Counter* miss_counter = obs::find_counter(telemetry, "delta.misses");
+
+  fi::CampaignHooks hooks = session.hooks();
+  hooks.should_run = [&, owned = std::move(hooks.should_run)](
+                         std::uint32_t injection_index,
+                         std::uint32_t test_case) {
+    if (!owned(injection_index, test_case)) return false;
+    const std::size_t flat = manifest.flat_index(injection_index, test_case);
+    const fi::InjectionRecord* cached = baseline.find(fingerprints[flat]);
+    if (cached == nullptr) {
+      if (miss_counter != nullptr) miss_counter->add(1);
+      return true;
+    }
+    // Cache hit: replay the stored report under the *current* plan's
+    // identity (the baseline may have recorded it at a different flat
+    // position, e.g. after injections were added to the plan). Replayed
+    // records are re-appended too: the output directory is a complete
+    // journal of the plan, usable as the next delta's baseline and
+    // yielding byte-identical estimates to a cold run of the same plan.
+    fi::InjectionRecord record = *cached;
+    record.injection_index = injection_index;
+    record.test_case = test_case;
+    record.target = config.injections[injection_index].target;
+    record.when = config.injections[injection_index].when;
+    record.fingerprint = fingerprints[flat];
+    record.replayed = true;
+    if (hit_counter != nullptr) hit_counter->add(1);
     session.append_replayed(record);
-    outcome[manifest.flat_index(record.injection_index, record.test_case)] =
-        kReplayed;
+    outcome[flat] = kReplayed;
+    return false;
+  };
+  hooks.on_record = [&, append = std::move(hooks.on_record)](
+                        fi::InjectionRecord& record) {
+    const std::size_t flat =
+        manifest.flat_index(record.injection_index, record.test_case);
+    record.fingerprint = fingerprints[flat];
+    append(record);
+    outcome[flat] = kExecuted;
   };
 
-  fi::DeltaResult delta_result =
-      fi::run_delta_campaign(runner, config, model, binding, delta);
-  summary.replayed = delta_result.stats.hits;
+  fi::run_campaign(runner, config, hooks);
+  summary.replayed = static_cast<std::size_t>(
+      std::count(outcome.begin(), outcome.end(), kReplayed));
 
   const SessionTally tally = session.finish(
       "delta.done", {{"replayed", obs::Value(summary.replayed)}});
@@ -176,13 +191,6 @@ DeltaJournalSummary run_delta_journaled_campaign(
       } else {
         ++summary.per_module[m].executed;
       }
-    }
-  }
-
-  summary.result = std::move(delta_result.campaign);
-  if (options.base.collect_records) {
-    for (auto& [flat, record] : session.reloaded()) {
-      summary.result.records[flat] = std::move(record);
     }
   }
   return summary;

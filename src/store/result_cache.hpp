@@ -1,15 +1,17 @@
-// Content-addressed campaign result cache: the durable half of the delta
-// engine (fi/delta_campaign.hpp).
+// Content-addressed campaign result cache and the one journaled-campaign
+// entry point (fingerprint recipe: fi/delta_campaign.hpp).
 //
 // A baseline journal directory is loaded into a fingerprint-keyed index;
 // run_delta_journaled_campaign then runs a (possibly changed) plan against
-// a fresh output directory, replaying every run whose fingerprint the
-// baseline holds and executing only the rest. The output directory is a
-// complete, ordinary campaign journal -- replayed records are re-appended
-// with their `replayed` flag set -- so it resumes, merges, estimates and
-// serves as the next delta's baseline with no special cases, and the
-// permeability CSV derived from it is byte-identical to one from a cold
-// full run (estimation is order-independent and never consults the
+// an output directory, replaying every run whose fingerprint the baseline
+// holds and executing only the rest. A plain run is the same call against
+// an empty ResultCache{}: every lookup misses, every run executes, and the
+// journal still carries fingerprints for later deltas. The output
+// directory is a complete, ordinary campaign journal -- replayed records
+// are re-appended with their `replayed` flag set -- so it resumes, merges,
+// estimates and serves as the next delta's baseline with no special cases,
+// and the permeability CSV derived from it is byte-identical to one from a
+// cold full run (estimation is order-independent and never consults the
 // fingerprint/replayed metadata).
 //
 // Cache-invalidation rules (what turns a baseline record stale):
@@ -47,9 +49,6 @@ class ResultCache {
   /// Cached record for `fingerprint`, or nullptr. Fingerprint 0 ("none")
   /// never matches. Thread-safe (read-only).
   const fi::InjectionRecord* find(std::uint64_t fingerprint) const;
-  /// The find() bound as the delta engine's lookup. Non-owning: the cache
-  /// must outlive the campaign using it.
-  fi::DeltaCacheLookup lookup() const;
 
   bool loaded() const { return !state_.fresh; }
   const Manifest& manifest() const { return state_.manifest; }
@@ -71,9 +70,9 @@ class ResultCache {
 };
 
 struct DeltaRunOptions {
-  /// Shard count / process split / collect_records / telemetry / progress,
-  /// exactly as for run_journaled_campaign. Replays respect the process
-  /// split too: each process appends only its own share of the hits.
+  /// Shard count / process split / telemetry / progress of the output
+  /// journal. Replays respect the process split too: each process appends
+  /// only its own share of the hits.
   JournalRunOptions base;
   /// Version tokens fed into the run fingerprints (fi::ModuleVersionMap).
   fi::ModuleVersionMap module_versions;
@@ -99,8 +98,6 @@ struct DeltaJournalSummary {
   std::size_t skipped_foreign = 0;    // owned by another process index
   std::size_t total_runs = 0;
   std::size_t diverged = 0;           // executed runs with a divergence
-  std::size_t baseline_records = 0;
-  std::size_t baseline_unfingerprinted = 0;
   double wall_seconds = 0.0;
   std::uint64_t journal_bytes = 0;
   std::vector<std::string> warnings;  // output-dir scan + baseline load
@@ -110,19 +107,22 @@ struct DeltaJournalSummary {
   std::vector<core::ModuleId> invalidated_modules;
   /// One entry per model module, ModuleId order.
   std::vector<ModuleDeltaExplain> per_module;
-  /// Golden traces + signal names always; records only when
-  /// base.collect_records (then complete: executed + replayed + reloaded).
-  fi::CampaignResult result;
 };
 
-/// Incremental counterpart of run_journaled_campaign: runs `config`
-/// against output directory `dir`, resolving runs against `baseline`
-/// first. Fresh output directories start from the cache; non-empty ones
-/// resume (already-journaled runs are neither replayed nor executed
-/// again). With an empty baseline this is exactly run_journaled_campaign
-/// plus fingerprint stamping. Emits delta.hits / delta.misses /
-/// delta.invalidated_modules counters and a delta.plan event when
-/// telemetry is on.
+/// Runs `config` against journal directory `dir`, resolving every run
+/// against `baseline` first. Fresh output directories start from scratch;
+/// non-empty ones resume (already-journaled runs are neither replayed nor
+/// executed again), and a directory of a different plan is a hard error.
+/// Per run, in order: the session filter (journaled or owned by another
+/// process -> skip), the cache lookup (hit -> the cached report is replayed
+/// under the current plan's identity and appended with `replayed` set),
+/// else execution through `runner` -- golden runs always execute, misses
+/// run exactly as fi::run_campaign would (lockstep batches when the runner
+/// has a batch function), and each executed record is stamped with its
+/// fingerprint and appended before the worker moves on, so the directory
+/// can be resumed after a crash at any point. Emits delta.hits /
+/// delta.misses / delta.invalidated_modules counters and delta.plan /
+/// delta.done events when telemetry is on.
 DeltaJournalSummary run_delta_journaled_campaign(
     const fi::CampaignRunner& runner, const fi::CampaignConfig& config,
     const core::SystemModel& model, const fi::SignalBinding& binding,

@@ -72,33 +72,6 @@ CampaignDirState for_each_journal_record(
   return state;
 }
 
-JournalRunSummary run_journaled_campaign(const fi::CampaignRunner& runner,
-                                         const fi::CampaignConfig& config,
-                                         const std::filesystem::path& dir,
-                                         const JournalRunOptions& options) {
-  JournaledCampaignSession session(config, dir, options);
-  JournalRunSummary summary;
-  summary.total_runs = session.total_runs();
-  summary.warnings = session.warnings();
-
-  summary.result = fi::run_campaign(runner, config, session.hooks());
-
-  const SessionTally tally = session.finish("campaign.done");
-  summary.executed = tally.executed;
-  summary.skipped_completed = tally.skipped_completed;
-  summary.skipped_foreign = tally.skipped_foreign;
-  summary.diverged = tally.diverged;
-  summary.journal_bytes = tally.journal_bytes;
-  summary.wall_seconds = tally.wall_seconds;
-
-  if (options.collect_records) {
-    for (auto& [flat, record] : session.reloaded()) {
-      summary.result.records[flat] = std::move(record);
-    }
-  }
-  return summary;
-}
-
 MergeSummary merge_journals(
     const std::filesystem::path& dest,
     const std::vector<std::filesystem::path>& sources) {

@@ -4,6 +4,7 @@
 #include <exception>
 #include <istream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -46,7 +47,6 @@ int run_worker_loop(const fi::CampaignRunner& runner,
   store::JournalRunOptions options = worker.journal;
   options.process_count = 1;
   options.process_index = 0;
-  options.collect_records = false;
 
   // Built on the first LEASE; rebuilt (fresh directory scan + fresh
   // executor) when a lease arrives with rescan=1.
@@ -96,7 +96,8 @@ int run_worker_loop(const fi::CampaignRunner& runner,
       // The whole lease -- directory rescan included -- runs under one
       // span parented on the dispatcher's serve.lease span id from the
       // wire, stitching this process into the campaign trace.
-      obs::Span lease_span(
+      std::optional<obs::Span> lease_span;
+      lease_span.emplace(
           telemetry, "worker.lease",
           obs::SpanOptions{
               lease->span_id,
@@ -106,7 +107,7 @@ int run_worker_loop(const fi::CampaignRunner& runner,
                {"begin", obs::Value(lease->begin)},
                {"end", obs::Value(lease->end)},
                {"rescan", obs::Value(lease->rescan)}}});
-      lease_span_id = lease_span.id();
+      lease_span_id = lease_span->id();
       if (lease->rescan) {
         // The range may hold runs a dead worker already journaled; drop
         // both session and executor so the fresh scan filters them.
@@ -121,7 +122,7 @@ int run_worker_loop(const fi::CampaignRunner& runner,
         fi::CampaignHooks hooks = session->hooks();
         hooks.on_record = [&lease_executed, &lease_diverged,
                            append = std::move(hooks.on_record)](
-                              const fi::InjectionRecord& record) {
+                              fi::InjectionRecord& record) {
           append(record);
           lease_executed.fetch_add(1, std::memory_order_relaxed);
           if (record.report.any_divergence()) {
@@ -143,6 +144,10 @@ int run_worker_loop(const fi::CampaignRunner& runner,
       tally.leases += 1;
       tally.executed += executed;
       tally.diverged += diverged;
+      // End the span before DONE: once DONE is on the wire the dispatcher
+      // may grant the next lease or kill this process, and the span event
+      // (which also feeds the crash flight ring) must already be out.
+      lease_span.reset();
       // Every record of the range is flushed to a shard (the session's
       // on_record is the durability point), so DONE is safe to send.
       send(out, DoneMsg{lease->lease_id, executed, diverged, lease_span_id});

@@ -30,7 +30,7 @@
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
-#include "store/resume.hpp"
+#include "store/result_cache.hpp"
 
 namespace propane::svc {
 namespace {
@@ -59,24 +59,27 @@ std::string serve_csv(const fs::path& dir, const core::SystemModel& model,
 /// by the cold oracle (campaign_runner) -- an independent check on the
 /// workers' batched engine.
 void run_reference(const exp::ExperimentScale& scale,
-                   const fi::CampaignConfig& config, const fs::path& dir) {
+                   const fi::CampaignConfig& config,
+                   const core::SystemModel& model,
+                   const fi::SignalBinding& binding, const fs::path& dir) {
   const std::vector<arr::TestCase> cases =
       scale.custom_cases.empty()
           ? arr::grid_test_cases(scale.mass_count, scale.velocity_count)
           : scale.custom_cases;
-  store::run_journaled_campaign(
-      arr::campaign_runner(cases, scale.duration), config, dir);
+  store::run_delta_journaled_campaign(
+      arr::campaign_runner(cases, scale.duration), config, model, binding,
+      dir, store::ResultCache{});
 }
 
 TEST(ServeCampaign, TwoWorkersMatchSingleProcessByteForByte) {
   const exp::ExperimentScale scale = exp::smoke_scale();
   const fi::CampaignConfig config = exp::make_campaign_config(scale);
 
-  const fs::path reference = fresh_dir("serve_reference");
-  run_reference(scale, config, reference);
-
   const core::SystemModel model = arr::make_arrestment_model();
   const fi::SignalBinding binding = arr::make_arrestment_binding(model);
+
+  const fs::path reference = fresh_dir("serve_reference");
+  run_reference(scale, config, model, binding, reference);
 
   const fs::path dir = fresh_dir("serve_two_workers");
   ServeOptions options;
@@ -113,11 +116,11 @@ TEST(ServeCampaign, SigkilledWorkerRangeIsReassignedByteIdentically) {
   const exp::ExperimentScale scale = exp::smoke_scale();
   const fi::CampaignConfig config = exp::make_campaign_config(scale);
 
-  const fs::path reference = fresh_dir("serve_kill_reference");
-  run_reference(scale, config, reference);
-
   const core::SystemModel model = arr::make_arrestment_model();
   const fi::SignalBinding binding = arr::make_arrestment_binding(model);
+
+  const fs::path reference = fresh_dir("serve_kill_reference");
+  run_reference(scale, config, model, binding, reference);
 
   const fs::path dir = fresh_dir("serve_kill");
   ServeOptions options;

@@ -14,6 +14,7 @@
 
 #include "common/contracts.hpp"
 #include "core/system_model.hpp"
+#include "fi/estimator.hpp"
 #include "store/journal.hpp"
 #include "store/resume.hpp"
 
@@ -28,9 +29,13 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// The two-module accumulator chain of tests/fi/delta_campaign_test.cpp:
-/// src -> M1 -> mid -> M2 -> dst, every signal accumulating so corruption
-/// persists. `m2_mask` parameterises M2's behaviour.
+/// Two-module accumulator chain: src -> M1 -> mid -> M2 -> dst. Every
+/// signal accumulates (reads its own previous value), so an injected
+/// corruption persists and keeps propagating downstream -- src errors reach
+/// mid and dst, mid errors reach dst only. M2's behaviour is parameterised
+/// by `m2_mask`: v1 (0xFFFF) lets every diverged mid bit through, a
+/// "changed" M2 (0xFF00) masks low-byte divergence, altering dst without
+/// ever touching mid.
 fi::TraceSet chain_run(const fi::RunRequest& request, std::uint16_t m2_mask) {
   fi::SignalBus bus;
   const fi::BusSignalId src = bus.add_signal("src");
@@ -130,25 +135,35 @@ TEST(ResultCache, MissingDirectoryLoadsAsEmptyCache) {
 }
 
 TEST(ResultCache, EmptyBaselineDeltaMatchesPlainJournaledRunByteForByte) {
-  const fs::path plain_dir = fresh_dir("cache_plain");
-  run_journaled_campaign(chain_runner(), chain_config(), plain_dir);
-
-  const fs::path delta_dir = fresh_dir("cache_empty_baseline");
-  const DeltaJournalSummary summary = cold_delta_run(delta_dir);
+  const fs::path dir = fresh_dir("cache_empty_baseline");
+  const DeltaJournalSummary summary = cold_delta_run(dir);
   EXPECT_EQ(summary.executed, 16u);
   EXPECT_EQ(summary.replayed, 0u);
   EXPECT_TRUE(summary.invalidated_modules.empty());
 
-  EXPECT_EQ(journal_csv(delta_dir), journal_csv(plain_dir));
-
-  // Unlike the plain run, the delta journal is fingerprinted throughout --
-  // ready to be a baseline.
-  const ResultCache reloaded = ResultCache::load(delta_dir);
+  // Every executed record is fingerprinted -- the journal is ready to be
+  // a baseline.
+  const ResultCache reloaded = ResultCache::load(dir);
   EXPECT_EQ(reloaded.record_count(), 16u);
   EXPECT_EQ(reloaded.unfingerprinted(), 0u);
-  const ResultCache plain = ResultCache::load(plain_dir);
-  EXPECT_EQ(plain.record_count(), 16u);
-  EXPECT_EQ(plain.unfingerprinted(), 16u);
+
+  // The journal estimates exactly what the in-memory campaign does.
+  const core::SystemModel model = chain_model();
+  const fi::SignalBinding binding = chain_binding(model);
+  const JournalStats stats = estimate_from_journal(dir, model, binding);
+  EXPECT_EQ(stats.record_count, 16u);
+  const fi::EstimationResult reference = fi::estimate_permeability(
+      model, binding, fi::run_campaign(chain_runner(), chain_config()));
+  ASSERT_EQ(stats.estimation.pairs.size(), reference.pairs.size());
+  for (std::size_t p = 0; p < reference.pairs.size(); ++p) {
+    EXPECT_EQ(stats.estimation.pairs[p].injections,
+              reference.pairs[p].injections);
+    EXPECT_EQ(stats.estimation.pairs[p].errors, reference.pairs[p].errors);
+  }
+  for (core::ModuleId m = 0; m < model.module_count(); ++m) {
+    EXPECT_DOUBLE_EQ(stats.estimation.permeability.get(m, 0, 0),
+                     reference.permeability.get(m, 0, 0));
+  }
 }
 
 TEST(ResultCache, FullBaselineReplaysEverythingAndChains) {
@@ -204,6 +219,34 @@ TEST(ResultCache, InvalidatedModuleReExecutesOnlyItsRuns) {
   // The code did not actually change, so the incremental journal estimates
   // byte-for-byte what the cold baseline does.
   EXPECT_EQ(journal_csv(delta_dir), journal_csv(base_dir));
+}
+
+TEST(ResultCache, ChangedModuleReExecutesOnlyItsRuns) {
+  // Baseline of the original system, then "edit" M2: new behaviour (mask
+  // 0xFF00) and a bumped version token.
+  const fs::path base_dir = fresh_dir("cache_changed_base");
+  cold_delta_run(base_dir);
+
+  const core::SystemModel model = chain_model();
+  const fs::path delta_dir = fresh_dir("cache_changed_delta");
+  const DeltaJournalSummary summary = run_delta_journaled_campaign(
+      chain_runner(0xFF00), chain_config(), model, chain_binding(model),
+      delta_dir, ResultCache::load(base_dir),
+      delta_options({{"M1", 1}, {"M2", 2}}));
+  EXPECT_EQ(summary.executed, 8u);  // mid-targeted runs (consumer M2)
+  EXPECT_EQ(summary.replayed, 8u);  // src-targeted runs (consumer M1)
+
+  // Compositional exactness: the mixed journal estimates exactly what a
+  // cold journal of the changed system estimates. Replayed src-targeted
+  // records carry stale *downstream* (dst) divergence data, but estimation
+  // attributes them only to M1's src->mid pair, which M2 cannot influence.
+  const fs::path cold_dir = fresh_dir("cache_changed_cold");
+  run_delta_journaled_campaign(chain_runner(0xFF00), chain_config(), model,
+                               chain_binding(model), cold_dir, ResultCache{},
+                               delta_options({{"M1", 1}, {"M2", 2}}));
+  EXPECT_EQ(journal_csv(delta_dir), journal_csv(cold_dir));
+  // Not vacuous: the edit changed M2's estimate.
+  EXPECT_NE(journal_csv(cold_dir), journal_csv(base_dir));
 }
 
 TEST(ResultCache, KilledDeltaSessionResumesToAByteIdenticalCsv) {
@@ -303,7 +346,6 @@ TEST(ResultCache, V2BaselineReadsButNeverReplays) {
       cache, delta_options());
   EXPECT_EQ(summary.replayed, 0u);
   EXPECT_EQ(summary.executed, 16u);
-  EXPECT_EQ(summary.baseline_unfingerprinted, 2u);
   EXPECT_TRUE(summary.invalidated_modules.empty());
 }
 

@@ -1,7 +1,8 @@
 // Worker protocol-loop tests (svc/worker.hpp), driven entirely through
 // stringstreams: a worker fed scripted LEASE lines must journal exactly
-// the leased ranges, answer DONE with honest counts, rebuild its session
-// on rescan leases, and FAIL fast on a malformed dispatcher line.
+// the leased ranges, answer DONE with honest counts (only after the
+// lease's span is out), rebuild its session on rescan leases, and FAIL
+// fast on a malformed dispatcher line.
 //
 // The toy campaign is the one from tests/store/resume_test.cpp: 4
 // injections x 3 test cases = 12 runs over a two-signal bus.
@@ -10,13 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "core/system_model.hpp"
-#include "store/resume.hpp"
+#include "obs/ndjson.hpp"
+#include "obs/telemetry.hpp"
+#include "store/result_cache.hpp"
 #include "svc/wire.hpp"
 
 namespace propane::svc {
@@ -70,12 +74,24 @@ core::SystemModel toy_model() {
   return std::move(builder).build();
 }
 
+fi::SignalBinding toy_binding(const core::SystemModel& model) {
+  return fi::SignalBinding::by_name(model, {"src", "dst"});
+}
+
+/// Single-process reference journal through the store's campaign entry
+/// point, against an empty baseline.
+void run_reference(const fs::path& dir) {
+  const core::SystemModel model = toy_model();
+  store::run_delta_journaled_campaign(toy_run, toy_config(), model,
+                                      toy_binding(model), dir,
+                                      store::ResultCache{});
+}
+
 std::string journal_csv(const fs::path& dir) {
   const core::SystemModel model = toy_model();
-  const fi::SignalBinding binding =
-      fi::SignalBinding::by_name(model, {"src", "dst"});
   std::ostringstream out;
-  store::write_permeability_csv_from_journal(out, dir, model, binding);
+  store::write_permeability_csv_from_journal(out, dir, model,
+                                             toy_binding(model));
   return out.str();
 }
 
@@ -130,7 +146,7 @@ TEST(Worker, ExecutesLeasedRangesAndReportsDone) {
 
 TEST(Worker, LeasedCampaignMatchesSingleProcessByteForByte) {
   const fs::path reference = fresh_dir("worker_ref");
-  store::run_journaled_campaign(toy_run, toy_config(), reference);
+  run_reference(reference);
 
   const fs::path dir = fresh_dir("worker_leased");
   std::istringstream in("LEASE 1 0 5 0\nLEASE 2 5 12 0\nSHUTDOWN\n");
@@ -163,8 +179,57 @@ TEST(Worker, RescanLeaseSkipsRunsAlreadyJournaled) {
   EXPECT_EQ(state.duplicate_count, 0u);
 
   const fs::path reference = fresh_dir("worker_rescan_ref");
-  store::run_journaled_campaign(toy_run, toy_config(), reference);
+  run_reference(reference);
   EXPECT_EQ(journal_csv(dir), journal_csv(reference));
+}
+
+/// Event sink that snapshots the wire output at every worker.lease span
+/// event, so a test can see what the dispatcher had already been told.
+class LeaseSpanProbe : public obs::EventSink {
+ public:
+  explicit LeaseSpanProbe(const std::ostringstream& wire) : wire_(wire) {}
+  void emit(const obs::Event& event) override {
+    if (event.name != "span") return;
+    for (const obs::Field& field : event.fields) {
+      if (field.key == "name" && field.value == obs::Value("worker.lease")) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        wire_at_span_.push_back(wire_.str());
+      }
+    }
+  }
+  std::vector<std::string> wire_at_span() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return wire_at_span_;
+  }
+
+ private:
+  const std::ostringstream& wire_;
+  mutable std::mutex mu_;
+  std::vector<std::string> wire_at_span_;
+};
+
+TEST(Worker, LeaseSpanIsEmittedBeforeDone) {
+  // DONE lets the dispatcher grant the next lease or kill this worker, so
+  // the lease's span event (which also feeds the crash flight ring) must
+  // already be out by the time DONE is written.
+  const fs::path dir = fresh_dir("worker_span_order");
+  std::istringstream in("LEASE 1 0 6 0\nSHUTDOWN\n");
+  std::ostringstream out;
+  LeaseSpanProbe probe(out);
+  obs::Telemetry telemetry;
+  telemetry.events = &probe;
+  WorkerConfig worker = worker_config(dir);
+  worker.journal.telemetry = &telemetry;
+  ASSERT_EQ(run_worker_loop(toy_run, toy_config(), worker, in, out), 0);
+
+  const std::vector<std::string> wire_at_span = probe.wire_at_span();
+  ASSERT_EQ(wire_at_span.size(), 1u);
+  const std::string& wire = wire_at_span[0];
+  EXPECT_EQ(wire.rfind("HELLO ", 0), 0u) << wire;
+  EXPECT_EQ(wire.find("DONE"), std::string::npos) << wire;
+  const std::vector<std::string> lines = output_lines(out);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(expect_done(lines[1]).executed, 6u);
 }
 
 TEST(Worker, MalformedDispatcherLineFailsFast) {
