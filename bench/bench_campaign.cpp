@@ -117,16 +117,40 @@ Workload make_workload(const exp::ExperimentScale& scale) {
   return w;
 }
 
-/// Lane occupancy of the batch path: executed lanes over offered lane
-/// slots. The denominator is batches x configured lane width, so packing
-/// quality (not early exit) is what moves it -- 1.0 means every batch
-/// left the planner full.
-double lane_occupancy(const arr::BatchRunStats& stats,
-                      std::size_t lane_width) {
-  const std::size_t batches = stats.batches.load();
-  if (batches == 0) return 0.0;
-  return static_cast<double>(stats.batched_lanes.load()) /
-         static_cast<double>(batches * lane_width);
+/// Packing of the batch path, per phase: the planner's settle batches
+/// over the live lanes, and the finish batches the lanes left undecided
+/// were repacked into. Occupancy is lanes over offered lane slots
+/// (batches x configured lane width), so packing quality (not early exit)
+/// is what moves it -- 1.0 means every batch left the planner full.
+struct Packing {
+  std::size_t batches = 0;  // settle phase
+  std::size_t lanes = 0;
+  double occupancy = 0.0;
+  std::size_t finish_batches = 0;
+  std::size_t finish_lanes = 0;
+};
+
+Packing packing_of(const arr::BatchRunStats& stats) {
+  Packing out;
+  out.finish_batches = stats.finish_batches.load();
+  out.finish_lanes = stats.finish_lanes.load();
+  out.batches = stats.batches.load() - out.finish_batches;
+  out.lanes = stats.batched_lanes.load();
+  if (out.batches > 0) {
+    out.occupancy = static_cast<double>(out.lanes) /
+                    static_cast<double>(out.batches * fi::kDefaultBatchSize);
+  }
+  return out;
+}
+
+/// The JSON fields tools/check_bench_guard.py checks for maximal packing.
+void write_packing(std::ostream& json, const Packing& packing) {
+  json << "\"batches\":" << packing.batches
+       << ",\"batched_lanes\":" << packing.lanes
+       << ",\"lane_width\":" << fi::kDefaultBatchSize
+       << ",\"lane_occupancy\":" << packing.occupancy
+       << ",\"finish_batches\":" << packing.finish_batches
+       << ",\"finish_lanes\":" << packing.finish_lanes;
 }
 
 /// Delta-campaign measurement: a cold run of the full 13-target plan into
@@ -143,9 +167,7 @@ struct DeltaBench {
   std::size_t delta_replayed = 0;
   double delta_wall_s = 0.0;
   double speedup = 0.0;
-  std::size_t delta_batches = 0;
-  std::size_t delta_batched_lanes = 0;
-  double delta_lane_occupancy = 0.0;
+  Packing delta_packing;
 };
 
 DeltaBench run_delta_bench(const Workload& w) {
@@ -196,9 +218,7 @@ DeltaBench run_delta_bench(const Workload& w) {
     out.delta_wall_s = seconds_since(start);
     out.delta_executed = delta.executed;
     out.delta_replayed = delta.replayed;
-    out.delta_batches = stats->batches.load();
-    out.delta_batched_lanes = stats->batched_lanes.load();
-    out.delta_lane_occupancy = lane_occupancy(*stats, fi::kDefaultBatchSize);
+    out.delta_packing = packing_of(*stats);
   }
   out.speedup = out.delta_wall_s > 0.0 ? out.cold_wall_s / out.delta_wall_s
                                        : 0.0;
@@ -271,9 +291,7 @@ struct SparseBench {
   std::size_t instants = 0;
   EndToEnd cold;
   EndToEnd batch;
-  double occupancy = 0.0;        // batched_lanes / (batches x width)
-  std::size_t batches = 0;
-  std::size_t batched_lanes = 0;
+  Packing packing;
 };
 
 SparseBench run_sparse_bench(const Workload& w) {
@@ -300,9 +318,7 @@ SparseBench run_sparse_bench(const Workload& w) {
       arr::batched_campaign_runner(w.cases, config, w.duration, nullptr,
                                    stats),
       config);
-  out.batches = stats->batches.load();
-  out.batched_lanes = stats->batched_lanes.load();
-  out.occupancy = lane_occupancy(*stats, fi::kDefaultBatchSize);
+  out.packing = packing_of(*stats);
   return out;
 }
 
@@ -476,22 +492,23 @@ int main() {
       arr::campaign_runner(w.cases, w.duration), w.config, &cold_campaign);
   std::printf("cold campaign: %zu runs in %.2f s  =>  %.0f runs/s\n",
               cold.runs, cold.wall_s, cold.runs_per_s);
-  const std::size_t lane_width = fi::kDefaultBatchSize;
   const auto warm_stats = std::make_shared<arr::WarmStartStats>();
   const auto batch_stats = std::make_shared<arr::BatchRunStats>();
   const EndToEnd batch =
       time_campaign(arr::batched_campaign_runner(w.cases, w.config, w.duration,
                                                  warm_stats, batch_stats),
                     w.config);
-  const double batch_occupancy = lane_occupancy(*batch_stats, lane_width);
+  const Packing batch_packing = packing_of(*batch_stats);
   std::printf("batch campaign: %zu runs in %.2f s  =>  %.0f runs/s "
-              "(%zu batches, %zu lanes, occupancy %.2f, "
+              "(%zu settle batches, %zu lanes, occupancy %.2f; "
+              "%zu finish batches, %zu lanes; "
               "%zu checkpoint-origin lanes, %zu t=0-origin lanes, "
               "%zu converged-early, %zu exhausted-early, %zu never-fire, "
               "%llu lane-ms skipped; %.2fx vs cold)\n",
               batch.runs, batch.wall_s, batch.runs_per_s,
-              batch_stats->batches.load(), batch_stats->batched_lanes.load(),
-              batch_occupancy, warm_stats->warm_runs.load(),
+              batch_packing.batches, batch_packing.lanes,
+              batch_packing.occupancy, batch_packing.finish_batches,
+              batch_packing.finish_lanes, warm_stats->warm_runs.load(),
               warm_stats->cold_runs.load(),
               batch_stats->retired_converged.load(),
               batch_stats->retired_exhausted.load(),
@@ -506,21 +523,27 @@ int main() {
       sparse.batch.runs_per_s / sparse.cold.runs_per_s;
   std::printf("sparse campaign (1 bit x %zu instants): cold %zu runs in "
               "%.2f s  =>  %.0f runs/s; batch %.2f s  =>  %.0f runs/s "
-              "(%zu batches, %zu lanes, occupancy %.2f, %.2fx vs cold)\n",
+              "(%zu settle batches, %zu lanes, occupancy %.2f; "
+              "%zu finish batches, %zu lanes; %.2fx vs cold)\n",
               sparse.instants, sparse.cold.runs, sparse.cold.wall_s,
               sparse.cold.runs_per_s, sparse.batch.wall_s,
-              sparse.batch.runs_per_s, sparse.batches, sparse.batched_lanes,
-              sparse.occupancy, sparse_speedup);
+              sparse.batch.runs_per_s, sparse.packing.batches,
+              sparse.packing.lanes, sparse.packing.occupancy,
+              sparse.packing.finish_batches, sparse.packing.finish_lanes,
+              sparse_speedup);
 
   // --- delta campaign: cold baseline vs incremental re-run ----------------
   const DeltaBench delta = run_delta_bench(w);
   std::printf("delta campaign (13 targets, V_REG invalidated): cold %zu runs "
               "in %.2f s; delta %zu executed + %zu replayed in %.2f s  =>  "
-              "%.1fx (%zu batches, %zu lanes, occupancy %.2f)\n",
+              "%.1fx (%zu settle batches, %zu lanes, occupancy %.2f; "
+              "%zu finish batches, %zu lanes)\n",
               delta.total_runs, delta.cold_wall_s, delta.delta_executed,
               delta.delta_replayed, delta.delta_wall_s, delta.speedup,
-              delta.delta_batches, delta.delta_batched_lanes,
-              delta.delta_lane_occupancy);
+              delta.delta_packing.batches, delta.delta_packing.lanes,
+              delta.delta_packing.occupancy,
+              delta.delta_packing.finish_batches,
+              delta.delta_packing.finish_lanes);
 
   // --- bootstrap resampling over the cold campaign's records --------------
   const std::size_t boot_replicates = w.scale == "smoke" ? 200 : 1000;
@@ -591,12 +614,9 @@ int main() {
          << ",\"cold\":{\"wall_s\":" << cold.wall_s
          << ",\"runs_per_s\":" << cold.runs_per_s << "}"
          << ",\"batch\":{\"wall_s\":" << batch.wall_s
-         << ",\"runs_per_s\":" << batch.runs_per_s
-         << ",\"batches\":" << batch_stats->batches.load()
-         << ",\"batched_lanes\":" << batch_stats->batched_lanes.load()
-         << ",\"lane_width\":" << lane_width
-         << ",\"lane_occupancy\":" << batch_occupancy
-         << ",\"retired_converged\":"
+         << ",\"runs_per_s\":" << batch.runs_per_s << ",";
+    write_packing(json, batch_packing);
+    json << ",\"retired_converged\":"
          << batch_stats->retired_converged.load()
          << ",\"retired_exhausted\":"
          << batch_stats->retired_exhausted.load()
@@ -609,12 +629,9 @@ int main() {
          << ",\"cold\":{\"wall_s\":" << sparse.cold.wall_s
          << ",\"runs_per_s\":" << sparse.cold.runs_per_s << "}"
          << ",\"batch\":{\"wall_s\":" << sparse.batch.wall_s
-         << ",\"runs_per_s\":" << sparse.batch.runs_per_s
-         << ",\"batches\":" << sparse.batches
-         << ",\"batched_lanes\":" << sparse.batched_lanes
-         << ",\"lane_width\":" << lane_width
-         << ",\"lane_occupancy\":" << sparse.occupancy
-         << ",\"speedup_vs_cold\":" << sparse_speedup << "}}"
+         << ",\"runs_per_s\":" << sparse.batch.runs_per_s << ",";
+    write_packing(json, sparse.packing);
+    json << ",\"speedup_vs_cold\":" << sparse_speedup << "}}"
          << ",\"delta\":{\"total_runs\":" << delta.total_runs
          << ",\"cold_wall_s\":" << delta.cold_wall_s
          << ",\"executed\":" << delta.delta_executed
@@ -622,10 +639,9 @@ int main() {
          << ",\"delta_wall_s\":" << delta.delta_wall_s
          << ",\"invalidated\":\"V_REG\""
          << ",\"speedup_vs_cold\":" << delta.speedup
-         << ",\"batch\":{\"batches\":" << delta.delta_batches
-         << ",\"batched_lanes\":" << delta.delta_batched_lanes
-         << ",\"lane_width\":" << lane_width
-         << ",\"lane_occupancy\":" << delta.delta_lane_occupancy << "}}"
+         << ",\"batch\":{";
+    write_packing(json, delta.delta_packing);
+    json << "}}"
          << ",\"bootstrap\":{\"replicates\":" << boot.replicates
          << ",\"records\":" << boot.records
          << ",\"cells\":" << boot.cells

@@ -56,17 +56,22 @@ struct BatchInstruments {
   }
 };
 
-std::vector<fi::DivergenceReport> run_batch(
-    const WarmStartEngine& engine, const fi::BatchRunRequest& request,
-    WarmStartStats* warm_stats, BatchRunStats* stats,
-    const BatchInstruments& instruments) {
+fi::BatchRunResult run_batch(const WarmStartEngine& engine,
+                             const fi::BatchRunRequest& request,
+                             WarmStartStats* warm_stats, BatchRunStats* stats,
+                             const BatchInstruments& instruments) {
   PROPANE_REQUIRE(!request.lanes.empty());
   if (instruments.group_lanes != nullptr) {
     instruments.group_lanes->observe(
         static_cast<double>(request.lanes.size()));
   }
 
-  std::vector<fi::DivergenceReport> reports(request.lanes.size());
+  fi::BatchRunResult result;
+  std::vector<fi::DivergenceReport>& reports = result.reports;
+  reports.resize(request.lanes.size());
+  // Never-firing lanes are settled as peeled; live lanes as the kernel
+  // reports them.
+  result.settled.assign(request.lanes.size(), 1);
 
   // Peel lanes whose injection fires at/after the horizon: those runs
   // *are* the golden run, every signal matches, and no simulation is
@@ -93,7 +98,7 @@ std::vector<fi::DivergenceReport> run_batch(
     stats->saved_lane_ms.fetch_add(never_fire * engine.duration_ms(),
                                    std::memory_order_relaxed);
   }
-  if (live.empty()) return reports;
+  if (live.empty()) return result;
 
   // One segment per distinct test case, in first-appearance order; a
   // segment's lanes keep request order (the planner's fire-tick order, so
@@ -151,41 +156,55 @@ std::vector<fi::DivergenceReport> run_batch(
   }
 
   BatchedArrestmentSystem batch(segments, engine.duration());
-  std::vector<fi::DivergenceReport> live_reports = batch.run();
+  std::vector<fi::DivergenceReport> live_reports = batch.run(
+      request.settle ? BatchStop::kSettle : BatchStop::kHorizon);
   // Kernel reports come back in cross-segment spec order; scatter them to
   // the request's lane slots.
   std::size_t j = 0;
+  std::size_t final_lanes = 0;
   for (std::size_t s = 0; s < seg_request.size(); ++s) {
     for (const std::size_t i : seg_request[s]) {
+      const bool final_lane = batch.lane_final(j);
+      result.settled[i] = final_lane ? 1 : 0;
+      final_lanes += final_lane ? 1 : 0;
       reports[i] = std::move(live_reports[j++]);
     }
   }
   instruments.observe(batch, live.size(), segments.size());
 
+  // Lane statistics count a lane once, in the batch that made it final; an
+  // unsettled lane is counted by the finish batch that reruns it.
   if (warm_stats != nullptr) {
     if (warm) {
-      warm_stats->warm_runs.fetch_add(live.size(), std::memory_order_relaxed);
-      warm_stats->saved_ms.fetch_add(live.size() * start_ms,
+      warm_stats->warm_runs.fetch_add(final_lanes,
+                                      std::memory_order_relaxed);
+      warm_stats->saved_ms.fetch_add(final_lanes * start_ms,
                                      std::memory_order_relaxed);
     } else {
-      warm_stats->cold_runs.fetch_add(live.size(), std::memory_order_relaxed);
+      warm_stats->cold_runs.fetch_add(final_lanes,
+                                      std::memory_order_relaxed);
     }
   }
 
   if (stats != nullptr) {
     stats->batches.fetch_add(1, std::memory_order_relaxed);
-    stats->batched_lanes.fetch_add(live.size(), std::memory_order_relaxed);
+    stats->batched_lanes.fetch_add(final_lanes, std::memory_order_relaxed);
+    if (!request.settle) {
+      stats->finish_batches.fetch_add(1, std::memory_order_relaxed);
+      stats->finish_lanes.fetch_add(live.size(), std::memory_order_relaxed);
+    }
+    // Every retired lane is final, so these count each lane once too.
     stats->retired_converged.fetch_add(batch.lanes_retired_converged(),
                                        std::memory_order_relaxed);
     stats->retired_exhausted.fetch_add(batch.lanes_retired_exhausted(),
                                        std::memory_order_relaxed);
-    // Early exit plus, on the warm path, the shared prefix each live lane
+    // Early exit plus, on the warm path, the shared prefix each final lane
     // did not re-simulate.
     const std::uint64_t saved =
-        batch.saved_lane_ms() + (warm ? live.size() * start_ms : 0);
+        batch.saved_lane_ms() + (warm ? final_lanes * start_ms : 0);
     stats->saved_lane_ms.fetch_add(saved, std::memory_order_relaxed);
   }
-  return reports;
+  return result;
 }
 
 }  // namespace

@@ -14,7 +14,9 @@
 // t=0 origins otherwise (fire tick 0 has no prefix), and short-circuits
 // never-firing lanes -- the injection time is at/after the horizon, so the
 // run *is* the golden run -- to all-clear reports without simulating them
-// at all.
+// at all. A settle request (fi::BatchRunRequest::settle) stops the kernel
+// at its first convergence check and marks the lanes it has not decided
+// as unsettled; never-firing lanes are always settled.
 #pragma once
 
 #include <atomic>
@@ -31,7 +33,10 @@ struct Telemetry;
 namespace propane::arr {
 
 /// Observability counters for the batched runner (shared with the caller;
-/// updated from worker threads).
+/// updated from worker threads). `batches` counts kernel runs, settle and
+/// finish alike; lane counts count each lane once, in the batch that made
+/// its report final, so batched_lanes + never_fire_lanes is the number of
+/// runs executed.
 struct BatchRunStats {
   std::atomic<std::size_t> batches{0};
   std::atomic<std::size_t> batched_lanes{0};
@@ -41,6 +46,10 @@ struct BatchRunStats {
   std::atomic<std::size_t> retired_exhausted{0};
   /// Lanes answered without simulation (injection never fires).
   std::atomic<std::size_t> never_fire_lanes{0};
+  /// Kernel runs without the settle stop (the finish phase) and the lanes
+  /// they carried; the other `batches` are settle runs over the plan.
+  std::atomic<std::size_t> finish_batches{0};
+  std::atomic<std::size_t> finish_lanes{0};
   /// Simulated lane-milliseconds avoided (early exit + never-fire).
   std::atomic<std::uint64_t> saved_lane_ms{0};
 };
@@ -52,8 +61,9 @@ struct BatchRunStats {
 /// and journal CSVs are bit-identical to the cold oracle (campaign_runner)
 /// for every batch size -- enforced by tests/fi/batch_equivalence_test.cpp.
 ///
-/// `warm_stats` (optional) counts each batch's live lanes by origin --
-/// checkpoint or t=0 -- and the prefix milliseconds the checkpoints saved.
+/// `warm_stats` (optional) counts each final live lane once by the origin
+/// of the batch that decided it -- checkpoint or t=0 -- and the prefix
+/// milliseconds the checkpoints saved.
 ///
 /// `telemetry` (optional, non-owning) turns on per-batch profiling:
 ///   batch.group.lanes      -- histogram, injection lanes per batch group;

@@ -15,11 +15,6 @@
 namespace propane::arr {
 namespace {
 
-/// Convergence is checked once per this many ticks: often enough that a
-/// transient error retires its lane quickly, rarely enough that the check
-/// (a full state compare per candidate lane) stays off the hot path.
-constexpr std::uint64_t kConvergenceCheckPeriod = 16;
-
 /// Bit `l` of the result is set iff `row[l] != golden`, for `l` in
 /// [0, n); n <= 64. Each batch segment screens its own lane sub-row
 /// against its own golden value, so cross-test-case batches reuse this
@@ -292,9 +287,15 @@ void BatchedArrestmentSystem::enable_recording(
   row_scratch_.resize(signals_);
 }
 
-std::vector<fi::DivergenceReport> BatchedArrestmentSystem::run() {
+std::vector<fi::DivergenceReport> BatchedArrestmentSystem::run(
+    BatchStop stop) {
+  PROPANE_REQUIRE_MSG(stop == BatchStop::kHorizon || !recording_,
+                      "recording batches run to the horizon");
+  const std::uint64_t stop_tick = stop == BatchStop::kSettle
+                                      ? kConvergenceCheckPeriod
+                                      : ~std::uint64_t{0};
   while (scheduler_.now() < duration_ &&
-         (recording_ || active_count_ > 0)) {
+         (recording_ || active_count_ > 0) && ticks_ < stop_tick) {
     scheduler_.run_slot(active_);
   }
   // Lanes still live at the horizon simply keep their reports: signals

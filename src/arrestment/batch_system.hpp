@@ -27,6 +27,15 @@
 // Retired lanes may still be touched by the branch-free module sweeps
 // (their state is dead); the simulation stops once every injection lane
 // retired or the horizon is reached.
+//
+// Settle stop: run(BatchStop::kSettle) ends the batch at its first
+// convergence check (kConvergenceCheckPeriod ticks past the origin).
+// Lanes that retired by then -- or every lane, when the batch reached the
+// horizon -- carry final reports (lane_final); the caller reruns the rest
+// from their origin in a denser batch, so the long tail of the horizon is
+// swept only for lanes that are still live. A rerun reproduces the
+// interrupted lane bit for bit: lanes never interact, and the convergence
+// test only decides *when* a report stops changing, never its content.
 #pragma once
 
 #include <array>
@@ -58,6 +67,18 @@ struct BatchLaneSpec {
 struct BatchSegment {
   const ArrestmentSystem* origin = nullptr;
   std::span<const BatchLaneSpec> specs;
+};
+
+/// Convergence is checked once per this many ticks: often enough that a
+/// transient error retires its lane quickly, rarely enough that the check
+/// (a full state compare per candidate lane) stays off the hot path. The
+/// first check is also the settle point of BatchStop::kSettle.
+inline constexpr std::uint64_t kConvergenceCheckPeriod = 16;
+
+/// Where BatchedArrestmentSystem::run stops.
+enum class BatchStop {
+  kHorizon,  // the run horizon, or once every injection lane retired
+  kSettle,   // the first convergence check (or earlier, as kHorizon)
 };
 
 class BatchedArrestmentSystem {
@@ -94,7 +115,16 @@ class BatchedArrestmentSystem {
 
   /// Simulates to the horizon (or until every injection lane retired) and
   /// returns one final DivergenceReport per injection lane, in spec order.
-  std::vector<fi::DivergenceReport> run();
+  /// With BatchStop::kSettle the run ends at the first convergence check
+  /// instead, and only the reports of lanes for which lane_final() holds
+  /// are final. Not available in recording mode (no lane retires there).
+  std::vector<fi::DivergenceReport> run(BatchStop stop = BatchStop::kHorizon);
+
+  /// After run(): true when injection lane `i`'s report is final -- the
+  /// lane retired, or the batch reached the horizon.
+  bool lane_final(std::size_t i) const {
+    return !active_.test(i) || scheduler_.now() >= duration_;
+  }
 
   // Post-run observability.
   std::size_t lanes_retired_converged() const { return converged_; }

@@ -36,8 +36,7 @@ ThreadPool::ThreadPool(std::size_t threads, const obs::Telemetry* telemetry) {
     suppressed_metric_ =
         obs::find_counter(telemetry, "pool.exceptions.suppressed");
     task_latency_us_ = obs::find_histogram(
-        telemetry, "pool.task.latency_us",
-        {100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8});
+        telemetry, "pool.task.latency_us", obs::one_two_five_bounds(1, 1e8));
     queue_depth_ = obs::find_gauge(telemetry, "pool.queue.depth");
     events_ = telemetry->events;
   }

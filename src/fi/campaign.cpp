@@ -44,6 +44,16 @@ std::uint64_t derive_seed(const CampaignConfig& config, std::uint64_t kind,
   return splitmix64(s);
 }
 
+/// Appends `lane` to the last of `batches`, opening a new batch when that
+/// one already holds `width` lanes.
+void pack_lane(std::vector<BatchRunRequest>& batches,
+               const BatchLaneRequest& lane, std::size_t width, bool settle) {
+  if (batches.empty() || batches.back().lanes.size() == width) {
+    batches.emplace_back().settle = settle;
+  }
+  batches.back().lanes.push_back(lane);
+}
+
 }  // namespace
 
 std::uint64_t golden_run_seed(const CampaignConfig& config,
@@ -65,8 +75,33 @@ struct CampaignExecutor::Instruments {
   obs::Counter* skipped_runs = nullptr;
   obs::Counter* diverged_runs = nullptr;
   obs::Counter* diverged_signals = nullptr;
-  obs::Histogram* run_latency = nullptr;
+  obs::Histogram* run_latency = nullptr;    // golden runs
+  obs::Histogram* batch_latency = nullptr;  // injection batches
   bool timed = false;
+};
+
+/// One executed batch as campaign.batch.done reports it: its shape (the
+/// earliest fire tick, the distinct test cases, the lane count), its
+/// measured wall time, and how many of its lanes reached a final record
+/// and how many of those diverged.
+struct CampaignExecutor::BatchDone {
+  const char* phase = "";
+  std::uint64_t fire_ms = ~std::uint64_t{0};
+  std::set<std::uint32_t> test_cases;
+  std::size_t lanes = 0;
+  std::size_t settled = 0;
+  std::size_t diverged = 0;
+  std::uint64_t dur_us = 0;
+
+  void add_lane(const InjectionSpec& spec, std::uint32_t test_case) {
+    fire_ms = std::min(fire_ms, injection_fire_ms(spec.when));
+    test_cases.insert(test_case);
+    ++lanes;
+  }
+  void add_final(const DivergenceReport& report) {
+    ++settled;
+    if (report.any_divergence()) ++diverged;
+  }
 };
 
 CampaignExecutor::CampaignExecutor(CampaignRunner runner,
@@ -101,9 +136,12 @@ CampaignExecutor::CampaignExecutor(CampaignRunner runner,
       obs::find_counter(telemetry, "campaign.runs.diverged");
   instruments_->diverged_signals =
       obs::find_counter(telemetry, "campaign.divergence.signals");
-  instruments_->run_latency = obs::find_histogram(
-      telemetry, "campaign.run.latency_us",
-      {1e3, 1e4, 1e5, 1e6, 1e7, 1e8});
+  instruments_->run_latency =
+      obs::find_histogram(telemetry, "campaign.run.latency_us",
+                          obs::one_two_five_bounds(1, 1e8));
+  instruments_->batch_latency =
+      obs::find_histogram(telemetry, "campaign.batch.latency_us",
+                          obs::one_two_five_bounds(1, 1e8));
   instruments_->timed =
       instruments_->run_latency != nullptr ||
       (telemetry != nullptr && telemetry->events != nullptr);
@@ -198,18 +236,8 @@ bool CampaignExecutor::should_execute(std::size_t flat) {
   return false;
 }
 
-void CampaignExecutor::emit_run_start(std::size_t flat,
-                                      const InjectionRecord& record) const {
-  obs::emit_event(hooks_.telemetry, "campaign.run.start",
-                  {{"kind", obs::Value("injection")},
-                   {"flat", obs::Value(flat)},
-                   {"injection", obs::Value(record.injection_index)},
-                   {"test_case", obs::Value(record.test_case)}});
-}
-
-void CampaignExecutor::finish_record(std::size_t flat, InjectionRecord record,
-                                     std::uint64_t dur_us) {
-  const obs::Telemetry* telemetry = hooks_.telemetry;
+void CampaignExecutor::finish_record(std::size_t flat,
+                                     InjectionRecord record) {
   const std::size_t divergences = record.report.divergence_count();
   if (instruments_->injection_runs != nullptr) {
     instruments_->injection_runs->add(1);
@@ -222,69 +250,77 @@ void CampaignExecutor::finish_record(std::size_t flat, InjectionRecord record,
       instruments_->diverged_signals->add(divergences);
     }
   }
-  if (instruments_->run_latency != nullptr) {
-    instruments_->run_latency->observe(static_cast<double>(dur_us));
-  }
-  obs::emit_event(
-      telemetry, "injection.done",
-      {{"flat", obs::Value(flat)},
-       {"injection", obs::Value(record.injection_index)},
-       {"test_case", obs::Value(record.test_case)},
-       {"target", obs::Value(record.target)},
-       {"model",
-        obs::Value(config_.injections[record.injection_index].model.name)},
-       {"diverged_signals", obs::Value(divergences)},
-       {"dur_us", obs::Value(dur_us)}});
-  obs::emit_event(telemetry, "campaign.run.end",
-                  {{"kind", obs::Value("injection")},
-                   {"flat", obs::Value(flat)},
-                   {"dur_us", obs::Value(dur_us)}});
   if (hooks_.on_record) hooks_.on_record(record);
   if (hooks_.collect_records) result_.records[flat] = std::move(record);
 }
 
+void CampaignExecutor::report_batch(const BatchDone& batch) const {
+  if (instruments_->batch_latency != nullptr) {
+    instruments_->batch_latency->observe(static_cast<double>(batch.dur_us));
+  }
+  obs::emit_event(hooks_.telemetry, "campaign.batch.done",
+                  {{"fire_ms", obs::Value(batch.fire_ms)},
+                   {"test_cases", obs::Value(batch.test_cases.size())},
+                   {"lanes", obs::Value(batch.lanes)},
+                   {"dur_us", obs::Value(batch.dur_us)},
+                   {"phase", obs::Value(batch.phase)},
+                   {"settled", obs::Value(batch.settled)},
+                   {"diverged", obs::Value(batch.diverged)}});
+}
+
+std::size_t CampaignExecutor::lanes_per_batch() const {
+  return config_.batch_size > 0 ? config_.batch_size : kDefaultBatchSize;
+}
+
 void CampaignExecutor::execute_range_scalar(RunRange range) {
   const bool timed = instruments_->timed;
+  const std::size_t width = lanes_per_batch();
 
-  // Injection runs, injection-major. The per-run seed depends only on
-  // (config.seed, flat index), never on which runs the hooks filter out or
-  // how the plan was cut into ranges, so a resumed, process-split or
-  // lease-dispatched campaign reproduces the exact runs an uninterrupted
-  // single-process one would have performed.
+  // Injection runs, injection-major, in chunks of one batch width -- the
+  // unit telemetry accounts for, one campaign.batch.done per chunk. Each
+  // record is finished as soon as its run is, so a crash loses only the
+  // run in flight. The per-run seed depends only on (config.seed, flat
+  // index), never on which runs the hooks filter out or how the plan was
+  // cut into ranges, so a resumed, process-split or lease-dispatched
+  // campaign reproduces the exact runs an uninterrupted single-process one
+  // would have performed.
   obs::Span injection_phase(hooks_.telemetry, "campaign.injection_phase");
-  pool_->parallel_for(range.begin, range.end, [&](std::size_t flat) {
-    if (!should_execute(flat)) return;
-    InjectionRecord record = make_record_identity(flat);
-    emit_run_start(flat, record);
+  const std::size_t chunks = (range.size() + width - 1) / width;
+  pool_->parallel_for(0, chunks, [&](std::size_t chunk) {
+    const std::size_t begin = range.begin + chunk * width;
+    const std::size_t end = std::min(range.end, begin + width);
+    BatchDone done;
+    done.phase = "scalar";
     const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
-    RunRequest request;
-    request.test_case = record.test_case;
-    request.injection = config_.injections[record.injection_index];
-    request.rng_seed = injection_run_seed(config_, flat);
-    record.report = compare_to_golden(result_.goldens[record.test_case],
-                                      runner_.run(request));
-    finish_record(flat, std::move(record),
-                  timed ? obs::steady_now_us() - start_us : 0);
+    for (std::size_t flat = begin; flat < end; ++flat) {
+      if (!should_execute(flat)) continue;
+      InjectionRecord record = make_record_identity(flat);
+      RunRequest request;
+      request.test_case = record.test_case;
+      request.injection = config_.injections[record.injection_index];
+      request.rng_seed = injection_run_seed(config_, flat);
+      record.report = compare_to_golden(result_.goldens[record.test_case],
+                                        runner_.run(request));
+      done.add_lane(*request.injection, record.test_case);
+      done.add_final(record.report);
+      finish_record(flat, std::move(record));
+    }
+    if (done.lanes == 0) return;
+    done.dur_us = timed ? obs::steady_now_us() - start_us : 0;
+    report_batch(done);
   });
 }
 
-void CampaignExecutor::execute_range_batched(RunRange range) {
-  const obs::Telemetry* telemetry = hooks_.telemetry;
-  const bool timed = instruments_->timed;
-  const std::size_t lanes_per_batch =
-      config_.batch_size > 0 ? config_.batch_size : kDefaultBatchSize;
-
-  // --- Plan. Walk the range in flat order, filter through should_run
-  // (exactly like the scalar path -- skipped runs never reach a batch),
-  // order the survivors by (fire tick, test case) and pack them greedily
-  // into batches of at most `lanes_per_batch` lanes. Batches freely mix
-  // test cases (the runner gives each test case its own golden lane) and
-  // fire ticks (later-firing lanes ride along from the earliest fire tick
-  // and activate when their tick arrives), so thin groups -- sparse plans,
+std::vector<BatchRunRequest> CampaignExecutor::plan_batches(
+    RunRange range) {
+  // Walk the range in flat order, filter through should_run (exactly like
+  // the scalar path -- skipped runs never reach a batch), order the
+  // survivors by (fire tick, test case) and pack them greedily into settle
+  // batches of at most one batch width. Batches freely mix test cases (the
+  // runner gives each test case its own golden lane) and fire ticks
+  // (later-firing lanes ride along from the earliest fire tick and
+  // activate when their tick arrives), so thin groups -- sparse plans,
   // delta-invalidated subsets, range tails -- still fill the SoA kernel.
-  // Batch composition is a pure execution detail: every lane's report is
-  // bit-identical to its scalar run whatever batch it lands in, so any
-  // range partition or batch size yields byte-identical records.
   std::map<std::pair<std::uint64_t, std::uint32_t>,
            std::vector<BatchLaneRequest>>
       groups;
@@ -303,59 +339,90 @@ void CampaignExecutor::execute_range_batched(RunRange range) {
         .push_back(lane);
   }
 
+  const std::size_t width = lanes_per_batch();
   std::vector<BatchRunRequest> batches;
-  BatchRunRequest open;
-  for (auto& [key, lanes] : groups) {
-    for (BatchLaneRequest& lane : lanes) {
-      if (open.lanes.size() == lanes_per_batch) {
-        batches.push_back(std::move(open));
-        open = BatchRunRequest{};
-      }
-      open.lanes.push_back(lane);
+  for (const auto& [key, lanes] : groups) {
+    for (const BatchLaneRequest& lane : lanes) {
+      pack_lane(batches, lane, width, /*settle=*/true);
     }
   }
-  if (!open.lanes.empty()) batches.push_back(std::move(open));
+  return batches;
+}
 
-  // --- Execute. One pool task per batch; per-lane records keep the exact
-  // identity, seed and report content of the scalar path, so journals and
-  // the CSVs derived from them stay bit-identical.
-  obs::Span injection_phase(telemetry, "campaign.injection_phase");
+void CampaignExecutor::execute_batches(
+    const std::vector<BatchRunRequest>& batches,
+    std::vector<std::uint8_t>* unsettled) {
+  const bool timed = instruments_->timed;
+  const std::size_t width = lanes_per_batch();
   pool_->parallel_for(0, batches.size(), [&](std::size_t b) {
     const BatchRunRequest& batch = batches[b];
-    std::vector<InjectionRecord> records;
-    records.reserve(batch.lanes.size());
-    for (const BatchLaneRequest& lane : batch.lanes) {
-      records.push_back(make_record_identity(lane.flat));
-      emit_run_start(lane.flat, records.back());
-    }
     const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
-    std::vector<DivergenceReport> reports = runner_.batch(batch);
-    PROPANE_CHECK_MSG(reports.size() == batch.lanes.size(),
+    BatchRunResult result = runner_.batch(batch);
+    PROPANE_CHECK_MSG(result.reports.size() == batch.lanes.size() &&
+                          result.settled.size() == batch.lanes.size(),
                       "batch runner must return one report per lane");
-    const std::uint64_t dur_us = timed ? obs::steady_now_us() - start_us : 0;
-    // Whole-batch wall time attributed evenly across the lanes it covered.
-    const std::uint64_t lane_us = dur_us / batch.lanes.size();
-    // Batch shape for profiling: earliest fire tick (the tick the kernel
-    // starts from), distinct test cases (one golden lane each) and lane
-    // count -- occupancy is lanes / batch size.
-    std::uint64_t start_fire_ms = ~std::uint64_t{0};
-    std::set<std::uint32_t> batch_cases;
-    for (const BatchLaneRequest& lane : batch.lanes) {
-      start_fire_ms =
-          std::min(start_fire_ms, injection_fire_ms(lane.spec->when));
-      batch_cases.insert(lane.test_case);
+    BatchDone done;
+    done.phase = batch.settle ? "settle" : "finish";
+    done.dur_us = timed ? obs::steady_now_us() - start_us : 0;
+    for (std::size_t i = 0; i < batch.lanes.size(); ++i) {
+      done.add_lane(*batch.lanes[i].spec, batch.lanes[i].test_case);
+      if (result.settled[i]) done.add_final(result.reports[i]);
     }
-    obs::emit_event(telemetry, "campaign.batch.done",
-                    {{"fire_ms", obs::Value(start_fire_ms)},
-                     {"test_cases", obs::Value(batch_cases.size())},
-                     {"lanes", obs::Value(batch.lanes.size())},
-                     {"dur_us", obs::Value(dur_us)}});
+    // Reported before the records are journaled, so the event's timestamp
+    // closes the batch's measured kernel window.
+    report_batch(done);
 
     for (std::size_t i = 0; i < batch.lanes.size(); ++i) {
-      records[i].report = std::move(reports[i]);
-      finish_record(batch.lanes[i].flat, std::move(records[i]), lane_us);
+      if (!result.settled[i]) {
+        // Each plan position belongs to exactly one batch: pool threads
+        // write disjoint flags, with no lock and no allocation.
+        PROPANE_CHECK_MSG(batch.settle && unsettled != nullptr,
+                          "a finish batch must settle every lane");
+        (*unsettled)[b * width + i] = 1;
+        continue;
+      }
+      InjectionRecord record = make_record_identity(batch.lanes[i].flat);
+      record.report = std::move(result.reports[i]);
+      finish_record(batch.lanes[i].flat, std::move(record));
     }
   });
+}
+
+void CampaignExecutor::execute_range_batched(RunRange range) {
+  // Settle, then pack. Most lanes' outcomes are decided within a few
+  // ticks of their fire tick (the error is masked and the lane
+  // re-converges with its golden lane, or every signal has diverged),
+  // while the rest persist to the horizon. So every batch first runs only
+  // to its settle point; the lanes still undecided there are repacked
+  // densely, in plan order, into finish batches that run from their
+  // checkpoint to the horizon. The long tail of the horizon is then swept
+  // only for live lanes, not for lanes that retired early. Batch
+  // composition is a pure execution detail: every lane's report is
+  // bit-identical to its scalar run whatever batch it lands in, so any
+  // range partition, batch size or phase split yields byte-identical
+  // records.
+  obs::Span injection_phase(hooks_.telemetry, "campaign.injection_phase");
+  std::vector<BatchRunRequest> batches = plan_batches(range);
+
+  // Unsettled lanes as flags indexed by plan position (batch b, lane i at
+  // b * width + i: every batch but the last is full).
+  const std::size_t width = lanes_per_batch();
+  std::vector<std::uint8_t> unsettled(batches.size() * width, 0);
+  execute_batches(batches, &unsettled);
+
+  std::vector<BatchRunRequest> finish;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    for (std::size_t i = 0; i < batches[b].lanes.size(); ++i) {
+      if (unsettled[b * width + i]) {
+        pack_lane(finish, batches[b].lanes[i], width, /*settle=*/false);
+      }
+    }
+  }
+  // Release the settle phase's plan before the long-running phase.
+  std::vector<BatchRunRequest>().swap(batches);
+  std::vector<std::uint8_t>().swap(unsettled);
+
+  execute_batches(finish, nullptr);
 }
 
 CampaignResult run_campaign(const CampaignRunner& runner,

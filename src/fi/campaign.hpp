@@ -63,13 +63,25 @@ struct BatchLaneRequest {
 /// fires (all-clear report).
 struct BatchRunRequest {
   std::vector<BatchLaneRequest> lanes;
+  /// Settle phase: the runner may stop the batch early (the arrestment
+  /// kernel stops at its first convergence check) and report the lanes
+  /// whose outcome is not decided yet as unsettled; the executor reruns
+  /// those in a finish batch. A request without the flag settles every
+  /// lane.
+  bool settle = false;
 };
 
-/// Executes a whole batch and returns one DivergenceReport per lane, in
-/// lane order, each bit-identical to what the scalar path's
-/// compare_to_golden would have produced for that run.
+/// What a batch run returns: one DivergenceReport per lane, in lane order,
+/// and per lane whether that report is final (`settled[i] != 0`). A final
+/// report is bit-identical to what the scalar path's compare_to_golden
+/// would have produced for that run; a non-final one is discarded.
+struct BatchRunResult {
+  std::vector<DivergenceReport> reports;
+  std::vector<std::uint8_t> settled;
+};
+
 using BatchRunFunction =
-    std::function<std::vector<DivergenceReport>(const BatchRunRequest&)>;
+    std::function<BatchRunResult(const BatchRunRequest&)>;
 
 /// The system under test, as handed to the campaign: a scalar per-run
 /// function (mandatory -- golden runs and the fallback path always use it)
@@ -184,9 +196,11 @@ struct CampaignHooks {
   /// sink is the only consumer and memory stays O(goldens), not O(runs)).
   bool collect_records = true;
   /// Optional telemetry (non-owning, must outlive the campaign). Purely
-  /// observational: counters, run spans and campaign.run.start/end,
-  /// golden.done and injection.done events. Never consulted for
-  /// scheduling or seeding, so enabling it cannot change any result.
+  /// observational: counters, spans, golden-run events
+  /// (campaign.run.start/end, golden.done) and one campaign.batch.done
+  /// event per injection batch -- nothing per injection run. Never
+  /// consulted for scheduling or seeding, so enabling it cannot change any
+  /// result.
   const obs::Telemetry* telemetry = nullptr;
 };
 
@@ -235,10 +249,12 @@ class CampaignExecutor {
   /// When the runner has a BatchRunFunction, the range is planned into
   /// lockstep batches (runs ordered by fire tick then test case and packed
   /// greedily, so lanes of different test cases and fire ticks share a
-  /// batch); records keep their flat identity either way, and every lane
-  /// is bit-identical to its scalar run regardless of batch composition,
-  /// so journals and CSVs are bit-identical to the scalar path. Not
-  /// thread-safe: call from one thread at a time.
+  /// batch), run to their settle point, and the undecided lanes repacked
+  /// into finish batches that run to the horizon; records keep their flat
+  /// identity either way, and every lane is bit-identical to its scalar
+  /// run regardless of batch composition, so journals and CSVs are
+  /// bit-identical to the scalar path. Not thread-safe: call from one
+  /// thread at a time.
   void execute_range(RunRange range);
 
   const CampaignResult& result() const { return result_; }
@@ -247,20 +263,35 @@ class CampaignExecutor {
 
  private:
   struct Instruments;  // resolved telemetry handles
+  struct BatchDone;    // one campaign.batch.done event in the making
 
-  /// Scalar path: one runner_.run per injection run. Scalar-only runners
-  /// (the cold oracle, the two-node variant, test toys) go through here.
+  /// Scalar path: one runner_.run per injection run, accounted in chunks
+  /// of one batch width. Scalar-only runners (the cold oracle, the
+  /// two-node variant, test toys) go through here.
   void execute_range_scalar(RunRange range);
+  /// Batch path: a settle phase over the planned batches, then a finish
+  /// phase over the lanes it left undecided, repacked densely.
   void execute_range_batched(RunRange range);
+  /// The range's executable runs, ordered by (fire tick, test case, flat)
+  /// and packed into settle batches of lanes_per_batch() lanes.
+  std::vector<BatchRunRequest> plan_batches(RunRange range);
+  /// Runs `batches` over the pool and finishes every settled lane's
+  /// record. Settle batches need `unsettled` (one flag per plan position,
+  /// batch b lane i at b * lanes_per_batch() + i), which pool threads set
+  /// for the lanes left to a finish batch.
+  void execute_batches(const std::vector<BatchRunRequest>& batches,
+                       std::vector<std::uint8_t>* unsettled);
+  std::size_t lanes_per_batch() const;
   InjectionRecord make_record_identity(std::size_t flat) const;
   /// hooks.should_run for one flat index; a skipped run is counted and, in
   /// collecting mode, keeps its identity with an empty report.
   bool should_execute(std::size_t flat);
-  void emit_run_start(std::size_t flat, const InjectionRecord& record) const;
-  /// The per-record tail both paths share: counters, latency, the
-  /// injection.done / campaign.run.end events, on_record and the collect.
-  void finish_record(std::size_t flat, InjectionRecord record,
-                     std::uint64_t dur_us);
+  /// The per-record tail both paths share: counters, on_record and the
+  /// collect.
+  void finish_record(std::size_t flat, InjectionRecord record);
+  /// The per-batch tail: the batch latency histogram and the
+  /// campaign.batch.done event.
+  void report_batch(const BatchDone& batch) const;
 
   CampaignRunner runner_;
   CampaignConfig config_;

@@ -79,6 +79,24 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return counts;
 }
 
+std::vector<double> one_two_five_bounds(double lowest, double highest) {
+  if (!(lowest > 0.0) || !(highest >= lowest)) {
+    throw std::invalid_argument(
+        "one_two_five_bounds needs 0 < lowest <= highest");
+  }
+  std::vector<double> bounds;
+  // Tolerate the rounding of decade * 10 against a highest given as a
+  // literal (1e8 vs 1 * 10^8 computed in steps).
+  const double limit = highest * (1.0 + 1e-12);
+  for (double decade = lowest;; decade *= 10.0) {
+    for (const double mantissa : {1.0, 2.0, 5.0}) {
+      const double bound = mantissa * decade;
+      if (bound > limit) return bounds;
+      bounds.push_back(bound);
+    }
+  }
+}
+
 double HistogramSnapshot::quantile(double q) const {
   if (count == 0 || counts.empty()) return 0.0;
   const double estimate = bucket_quantile(q);

@@ -120,6 +120,13 @@ class Histogram {
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
+/// Log-linear bucket bounds, three per decade: lowest, 2*lowest,
+/// 5*lowest, 10*lowest, ... up to and including `highest`. Interpolating
+/// inside such a bucket is off by at most the bucket's own width (at most
+/// 2.5x its lower bound), where decade-wide buckets are off by up to 10x.
+/// `lowest` must be positive and no larger than `highest`.
+std::vector<double> one_two_five_bounds(double lowest, double highest);
+
 /// Point-in-time copy of one histogram, with quantile estimation.
 struct HistogramSnapshot {
   std::vector<double> upper_bounds;   // finite bounds, ascending

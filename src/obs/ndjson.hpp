@@ -2,7 +2,7 @@
 //
 // Every event is one flat JSON object per line:
 //
-//   {"event":"injection.done","t_us":8123901,"test_case":3,"diverged":2}
+//   {"event":"golden.done","t_us":8123901,"test_case":3,"samples":15000}
 //
 // Flat on purpose: a line can be consumed by jq, a spreadsheet importer, or
 // the bundled parse_flat_json_object() -- a deliberately minimal parser

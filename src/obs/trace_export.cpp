@@ -292,7 +292,10 @@ TraceExportSummary write_chrome_trace(
         std::vector<Field> args = {
             {"fire_ms", Value(u64_or(event, "fire_ms", 0))},
             {"test_cases", Value(u64_or(event, "test_cases", 1))},
-            {"lanes", Value(u64_or(event, "lanes", 0))}};
+            {"lanes", Value(u64_or(event, "lanes", 0))},
+            {"phase", Value(str_or(event, "phase", ""))},
+            {"settled", Value(u64_or(event, "settled", 0))},
+            {"diverged", Value(u64_or(event, "diverged", 0))}};
         if (const std::uint64_t lease = containing_lease(t_us); lease != 0) {
           args.push_back({"parent_span_id", Value(lease)});
         }
@@ -345,8 +348,8 @@ TraceExportSummary write_chrome_trace(
         }
       }
 
-      // Instants: lifecycle events worth a timeline mark. Per-run noise
-      // (run.start, injection.done, journal.append, metric) is skipped.
+      // Instants: lifecycle events worth a timeline mark. Bookkeeping
+      // (campaign.run.start, metric) is skipped.
       const bool instant =
           name.rfind("serve.", 0) == 0 || name.rfind("worker.", 0) == 0 ||
           name.rfind("flight.", 0) == 0 || name == "golden.done" ||

@@ -17,11 +17,15 @@
 //                              args carrying span_id/parent_span_id so the
 //                              cross-process parent chain (worker run ->
 //                              worker.lease -> serve.lease) is navigable;
-//   * campaign.run.end      -> synthesized "campaign.run" X events (the
-//                              hot path emits paired start/end events, not
-//                              per-run spans), parented by time containment
-//                              under the enclosing worker.lease span;
-//   * campaign.batch.done   -> synthesized "campaign.batch" X events;
+//   * campaign.batch.done   -> synthesized "campaign.batch" X events, one
+//                              per injection batch (settle, finish or
+//                              scalar phase), parented by time containment
+//                              under the enclosing worker.lease span --
+//                              injection runs are accounted per batch, and
+//                              no per-run event exists to draw;
+//   * campaign.run.end      -> synthesized "campaign.run" X events for the
+//                              golden runs (paired start/end events, not
+//                              spans), parented the same way;
 //   * pending/runs_covered/ -> "C" counter tracks (queue depth, partial-
 //     runs-per-second          estimate progress, completion rate);
 //   * final "metric" counter
@@ -29,8 +33,8 @@
 //                              counters land here);
 //   * remaining serve.*/
 //     worker/golden events  -> "i" instants;
-//   * per-run noise (run.start, injection.done, journal.append) is
-//     consumed or skipped -- a trace is a timeline, not a replay log.
+//   * campaign.run.start and other bookkeeping events are skipped -- a
+//     trace is a timeline, not a replay log.
 #pragma once
 
 #include <cstdint>

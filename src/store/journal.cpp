@@ -16,7 +16,6 @@ JournalWriter::JournalWriter(const std::filesystem::path& path,
     appends_ = obs::find_counter(telemetry, "journal.appends");
     append_bytes_ = obs::find_counter(telemetry, "journal.append.bytes");
     flushes_ = obs::find_counter(telemetry, "journal.flushes");
-    events_ = telemetry->events;
   }
   PROPANE_REQUIRE_MSG(!std::filesystem::exists(path_),
                       "journal shard already exists: " + path_.string());
@@ -62,14 +61,6 @@ void JournalWriter::append(const fi::InjectionRecord& record) {
   const std::size_t frame_bytes = bytes_written_ - before;
   if (appends_ != nullptr) appends_->add(1);
   if (append_bytes_ != nullptr) append_bytes_->add(frame_bytes);
-  if (events_ != nullptr) {
-    events_->emit(obs::make_event(
-        "journal.append",
-        {{"shard", obs::Value(path_.filename().string())},
-         {"bytes", obs::Value(frame_bytes)},
-         {"total_bytes", obs::Value(bytes_written_)},
-         {"records", obs::Value(record_count_)}}));
-  }
 }
 
 void JournalWriter::flush() {

@@ -33,7 +33,6 @@
 
 namespace propane::obs {
 class Counter;
-class EventSink;
 struct Telemetry;
 }  // namespace propane::obs
 
@@ -66,7 +65,7 @@ class JournalWriter {
   /// sessions -- resume opens fresh shard files instead, leaving any torn
   /// tail behind for the reader to skip). `telemetry` (optional,
   /// non-owning) adds journal.appends / journal.append.bytes /
-  /// journal.flushes counters and a journal.append event per record.
+  /// journal.flushes counters; no event is emitted per record.
   JournalWriter(const std::filesystem::path& path, const Manifest& manifest,
                 const obs::Telemetry* telemetry = nullptr);
 
@@ -91,7 +90,6 @@ class JournalWriter {
   obs::Counter* appends_ = nullptr;
   obs::Counter* append_bytes_ = nullptr;
   obs::Counter* flushes_ = nullptr;
-  obs::EventSink* events_ = nullptr;
 };
 
 /// Outcome of scanning one shard file.

@@ -1,9 +1,12 @@
-// Crash-safe resume, process-split sharding, merge and streaming
-// estimation over campaign journal directories.
+// Resume after a killed process, process-split sharding, merge and
+// streaming estimation over campaign journal directories.
 //
 // A campaign directory holds one or more journal shards (sharded_writer).
 // Because every completed injection run was flushed to a shard before the
-// next one started, the directory *is* the campaign state:
+// next one started, the directory *is* the campaign state -- after a
+// killed process (SIGKILL): a flush hands the bytes to the OS, and nothing
+// here calls fsync, so an OS crash or power loss may lose the newest
+// records (or tear more than the last frame). No claim is made for those.
 //
 //   * resume: scan the shards, rebuild the set of completed
 //     (injection_index, test_case) pairs, then run only the missing runs

@@ -1,7 +1,9 @@
-// Crash-safe lease log for the campaign dispatcher.
+// Lease log for the campaign dispatcher, resumable after a killed process.
 //
 // The dispatcher splits a campaign into run-range leases and must survive
-// both worker crashes and its own: every lease grant, completion and
+// both worker crashes and its own (a killed process, e.g. SIGKILL; like
+// the journal, the log is flushed but never fsync'd, so an OS crash or
+// power loss is outside its guarantee): every lease grant, completion and
 // requeue is appended to a CRC-framed log *before* the corresponding wire
 // message is acted upon, so a restarted dispatcher (or a post-mortem
 // `campaign top`) can reconstruct exactly which ranges were in flight.

@@ -13,6 +13,8 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +23,8 @@
 #include "arrestment/batch_system.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "store/result_cache.hpp"
 #include "store/resume.hpp"
 
@@ -103,6 +107,55 @@ fi::CampaignConfig short_config() {
   return ::testing::AssertionSuccess();
 }
 
+/// Ceiling division, for batch counts.
+std::size_t batches_for(std::size_t lanes, std::size_t width) {
+  return (lanes + width - 1) / width;
+}
+
+/// Wraps a batched runner and logs every batch it executes: how many ran
+/// in each phase, which lanes (by flat index) the settle batches left
+/// unsettled, and which lanes the finish batches carried.
+class PhaseLog {
+ public:
+  fi::CampaignRunner wrap(const fi::CampaignRunner& inner) {
+    return fi::CampaignRunner(
+        inner.run, [this, batch = inner.batch](
+                       const fi::BatchRunRequest& request) {
+          fi::BatchRunResult result = batch(request);
+          const std::lock_guard lock(mu_);
+          if (request.settle) {
+            ++settle_batches_;
+            for (std::size_t i = 0; i < request.lanes.size(); ++i) {
+              if (!result.settled[i]) {
+                unsettled_.insert(request.lanes[i].flat);
+              }
+            }
+          } else {
+            finish_lane_counts_.push_back(request.lanes.size());
+            for (const fi::BatchLaneRequest& lane : request.lanes) {
+              finish_.insert(lane.flat);
+            }
+          }
+          return result;
+        });
+  }
+
+  std::size_t settle_batches() const { return settle_batches_; }
+  std::size_t finish_batches() const { return finish_lane_counts_.size(); }
+  const std::vector<std::size_t>& finish_lane_counts() const {
+    return finish_lane_counts_;
+  }
+  const std::multiset<std::size_t>& unsettled() const { return unsettled_; }
+  const std::multiset<std::size_t>& finish() const { return finish_; }
+
+ private:
+  std::mutex mu_;
+  std::size_t settle_batches_ = 0;
+  std::vector<std::size_t> finish_lane_counts_;
+  std::multiset<std::size_t> unsettled_;
+  std::multiset<std::size_t> finish_;
+};
+
 // --- Kernel-level trace identity -----------------------------------------
 
 TEST(BatchKernel, ColdBatchRecordsBitIdenticalLaneTraces) {
@@ -184,6 +237,133 @@ TEST(BatchKernel, WarmCheckpointBatchRecordsBitIdenticalLaneTraces) {
   }
 }
 
+// --- Settle stop ---------------------------------------------------------
+
+/// Per segment, the lanes of `specs` a settled batch left undecided.
+std::vector<std::vector<BatchLaneSpec>> unsettled_lanes(
+    const BatchedArrestmentSystem& batch,
+    const std::vector<std::vector<BatchLaneSpec>>& lanes) {
+  std::vector<std::vector<BatchLaneSpec>> rest(lanes.size());
+  std::size_t j = 0;
+  for (std::size_t s = 0; s < lanes.size(); ++s) {
+    for (const BatchLaneSpec& lane : lanes[s]) {
+      if (!batch.lane_final(j++)) rest[s].push_back(lane);
+    }
+  }
+  return rest;
+}
+
+std::vector<BatchSegment> segments_of(
+    const std::vector<const ArrestmentSystem*>& origins,
+    const std::vector<std::vector<BatchLaneSpec>>& lanes) {
+  std::vector<BatchSegment> segments;
+  for (std::size_t s = 0; s < lanes.size(); ++s) {
+    segments.push_back(BatchSegment{origins[s], lanes[s]});
+  }
+  return segments;
+}
+
+// A batch stopped at its settle point, followed by a rerun of its
+// unsettled lanes from the same origins, yields reports bit-identical to
+// one uninterrupted run -- for every batch size, with lanes that fire
+// after the settle window, across two test-case segments.
+TEST(BatchKernel, SettleStopThenRerunMatchesUninterruptedRun) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 2);
+  const ArrestmentSystem origin0(cases[0]);
+  const ArrestmentSystem origin1(cases[1]);
+  const std::vector<const ArrestmentSystem*> origins = {&origin0, &origin1};
+  // TIC1 and ADC errors settle within the window, pulscnt and SetValue
+  // errors persist; every fifth lane fires at 40 ms, long after the
+  // 16-tick settle window of a batch starting at t=0.
+  const char* const targets[] = {"TIC1", "pulscnt", "ADC", "SetValue"};
+  std::vector<fi::InjectionSpec> specs;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const sim::SimTime fire = i % 5 == 4 ? 40 * sim::kMillisecond : 0;
+    specs.push_back(fi::InjectionSpec{
+        bus_id(targets[i % 4]), fire,
+        fi::bit_flip(static_cast<unsigned>(i % 16))});
+  }
+
+  for (const std::size_t batch_size : kBatchSizes) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    std::vector<std::vector<BatchLaneSpec>> lanes(2);
+    for (std::size_t i = 0; i < batch_size; ++i) {
+      lanes[i < batch_size / 2 ? 0 : 1].push_back(
+          BatchLaneSpec{&specs[i], 500 + i});
+    }
+    const std::vector<BatchSegment> segments = segments_of(origins, lanes);
+
+    BatchedArrestmentSystem whole(segments, kShortRun);
+    const std::vector<fi::DivergenceReport> expected = whole.run();
+
+    BatchedArrestmentSystem settle(segments, kShortRun);
+    const std::vector<fi::DivergenceReport> settled =
+        settle.run(BatchStop::kSettle);
+    EXPECT_LE(settle.ticks_simulated(), kConvergenceCheckPeriod);
+    const std::vector<std::vector<BatchLaneSpec>> rest =
+        unsettled_lanes(settle, lanes);
+    std::vector<fi::DivergenceReport> rerun;
+    if (!rest[0].empty() || !rest[1].empty()) {
+      BatchedArrestmentSystem finish(segments_of(origins, rest), kShortRun);
+      rerun = finish.run();
+    }
+
+    std::size_t finals = 0;
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < batch_size; ++j) {
+      SCOPED_TRACE("lane " + std::to_string(j));
+      if (settle.lane_final(j)) {
+        ++finals;
+        EXPECT_TRUE(reports_identical(settled[j], expected[j]));
+      } else {
+        ASSERT_LT(k, rerun.size());
+        EXPECT_TRUE(reports_identical(rerun[k++], expected[j]));
+      }
+    }
+    EXPECT_EQ(k, rerun.size());
+    if (batch_size >= 17) {
+      // Not vacuous: both kinds occur, and the late lane (spec 4, firing
+      // at 40 ms) cannot be decided in a 16-tick window.
+      EXPECT_GT(finals, 0u);
+      EXPECT_LT(finals, batch_size);
+      EXPECT_FALSE(settle.lane_final(4));
+    }
+  }
+}
+
+// A batch whose settle window reaches the horizon stops there: every
+// lane is final, and the reports equal an uninterrupted run's.
+TEST(BatchKernel, SettleWindowReachingTheHorizonSettlesEveryLane) {
+  const TestCase test_case = grid_test_cases(1, 1)[0];
+  ArrestmentSystem origin(test_case);
+  RunOptions golden;
+  golden.duration = kShortRun;
+  constexpr std::uint64_t kLeftTicks = kConvergenceCheckPeriod - 6;
+  const sim::SimTime start =
+      kShortRun - static_cast<sim::SimTime>(kLeftTicks) * sim::kMillisecond;
+  while (origin.now() < start) origin.tick(golden);
+
+  std::vector<fi::InjectionSpec> specs;
+  for (const std::string_view target : {"TIC1", "pulscnt", "SetValue"}) {
+    specs.push_back(fi::InjectionSpec{bus_id(target), start, fi::bit_flip(5)});
+  }
+  std::vector<BatchLaneSpec> lanes;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    lanes.push_back(BatchLaneSpec{&specs[i], 700 + i});
+  }
+
+  BatchedArrestmentSystem whole(origin, lanes, kShortRun);
+  const std::vector<fi::DivergenceReport> expected = whole.run();
+  BatchedArrestmentSystem settle(origin, lanes, kShortRun);
+  const std::vector<fi::DivergenceReport> settled =
+      settle.run(BatchStop::kSettle);
+  EXPECT_EQ(settle.ticks_simulated(), kLeftTicks);
+  for (std::size_t j = 0; j < specs.size(); ++j) {
+    EXPECT_TRUE(settle.lane_final(j)) << "lane " << j;
+    EXPECT_TRUE(reports_identical(settled[j], expected[j])) << "lane " << j;
+  }
+}
+
 // --- Campaign-level record identity --------------------------------------
 
 TEST(BatchCampaign, RecordsMatchScalarForEveryBatchSize) {
@@ -197,15 +377,30 @@ TEST(BatchCampaign, RecordsMatchScalarForEveryBatchSize) {
     config.batch_size = batch_size;
     const auto warm_stats = std::make_shared<WarmStartStats>();
     const auto stats = std::make_shared<BatchRunStats>();
+    PhaseLog log;
     const fi::CampaignResult batched = fi::run_campaign(
-        batched_campaign_runner(cases, config, kShortRun, warm_stats, stats),
+        log.wrap(batched_campaign_runner(cases, config, kShortRun, warm_stats,
+                                         stats)),
         config);
 
-    // The batch path actually executed (never-firing lanes excepted), and
-    // every live lane started from exactly one origin.
-    EXPECT_GT(stats->batches.load(), 0u);
+    // The batch path actually executed (never-firing lanes excepted): one
+    // settle batch per batch width of the plan, then the unsettled lanes
+    // repacked densely into finish batches. Every lane is counted once,
+    // when it became final, and every live lane from exactly one origin.
+    const std::size_t total =
+        config.injections.size() * config.test_case_count;
+    EXPECT_EQ(log.settle_batches(), batches_for(total, batch_size));
+    EXPECT_EQ(log.finish_batches(),
+              batches_for(log.unsettled().size(), batch_size));
+    EXPECT_EQ(log.finish(), log.unsettled());
+    // A settle batch of never-firing lanes only (one per such lane at
+    // batch size 1; the plan orders them last) never reaches the kernel.
+    const std::size_t never_fire_batches =
+        batch_size == 1 ? stats->never_fire_lanes.load() : 0;
+    EXPECT_EQ(stats->batches.load() + never_fire_batches,
+              log.settle_batches() + log.finish_batches());
     EXPECT_EQ(stats->batched_lanes.load() + stats->never_fire_lanes.load(),
-              config.injections.size() * config.test_case_count);
+              total);
     EXPECT_GT(stats->never_fire_lanes.load(), 0u);
     EXPECT_EQ(warm_stats->warm_runs.load() + warm_stats->cold_runs.load(),
               stats->batched_lanes.load());
@@ -247,11 +442,18 @@ TEST(BatchCampaign, ColdBatchesMatchScalarWhenWarmStartDisabled) {
       fi::run_campaign(campaign_runner(cases, kShortRun), config);
   const auto warm_stats = std::make_shared<WarmStartStats>();
   const auto stats = std::make_shared<BatchRunStats>();
+  PhaseLog log;
   const fi::CampaignResult batched = fi::run_campaign(
-      batched_campaign_runner(cases, config, kShortRun, warm_stats, stats),
+      log.wrap(batched_campaign_runner(cases, config, kShortRun, warm_stats,
+                                       stats)),
       config);
 
-  EXPECT_EQ(stats->batches.load(), 3u);  // 12 lanes / 4 per batch
+  // 12 lanes / 4 per batch settle in 3 batches; the lanes they leave
+  // undecided finish in ceil(unsettled / 4) more, also from t=0.
+  EXPECT_EQ(log.settle_batches(), 3u);
+  EXPECT_GT(log.finish_batches(), 0u);
+  EXPECT_EQ(log.finish_batches(), batches_for(log.unsettled().size(), 4));
+  EXPECT_EQ(stats->batches.load(), 3u + log.finish_batches());
   EXPECT_EQ(warm_stats->cold_runs.load(), 12u);
   EXPECT_EQ(warm_stats->warm_runs.load(), 0u);
   EXPECT_EQ(warm_stats->saved_ms.load(), 0u);
@@ -322,18 +524,16 @@ TEST(BatchJournal, MidBatchKillAndResumeUnderDifferentBatchSize) {
   run_journal(campaign_runner(cases, kShortRun), config, scalar_dir);
   const std::string scalar_csv = journal_csv(scalar_dir);
 
-  // "Kill" mid-campaign: the first batch completes and journals its
-  // records, every later batch throws. The exception unwinds like a crash
-  // -- journaled records are durable, in-flight runs are lost.
+  // "Kill" mid-campaign: the settle batches complete and journal the
+  // records they decided (the never-firing lanes among them), the first
+  // finish batch throws. The exception unwinds like a crash -- journaled
+  // records are durable, in-flight runs are lost.
   const fs::path dir = fresh_dir("batch_resume_killed");
   const fi::CampaignRunner inner =
       batched_campaign_runner(cases, config, kShortRun);
-  std::atomic<std::size_t> batches{0};
   const fi::CampaignRunner crashing(
-      inner.run, [&batches, &inner](const fi::BatchRunRequest& request) {
-        if (batches.fetch_add(1) >= 1) {
-          throw std::runtime_error("simulated crash");
-        }
+      inner.run, [&inner](const fi::BatchRunRequest& request) {
+        if (!request.settle) throw std::runtime_error("simulated crash");
         return inner.batch(request);
       });
   EXPECT_THROW(run_journal(crashing, config, dir), std::runtime_error);
@@ -469,16 +669,82 @@ TEST(BatchCampaign, SparsePlanPacksAcrossTestCasesAndFireTicks) {
 
   config.batch_size = 32;
   const auto stats = std::make_shared<BatchRunStats>();
+  PhaseLog log;
   const fi::CampaignResult batched = fi::run_campaign(
-      batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
+      log.wrap(
+          batched_campaign_runner(cases, config, kShortRun, nullptr, stats)),
       config);
 
   // 24 single-lane (test case, fire tick) groups plus 2 never-fire lanes
-  // pack into ONE kernel batch; the never-fire lanes are peeled before
-  // simulation.
-  EXPECT_EQ(stats->batches.load(), 1u);
+  // pack into ONE settle batch; the never-fire lanes are peeled before
+  // simulation. Its undecided lanes, of any fire tick and test case,
+  // pack into ONE finish batch.
+  EXPECT_EQ(log.settle_batches(), 1u);
+  EXPECT_EQ(log.finish_batches(), 1u);
+  EXPECT_EQ(log.finish(), log.unsettled());
+  EXPECT_EQ(stats->batches.load(), 2u);
   EXPECT_EQ(stats->batched_lanes.load(), 24u);
   EXPECT_EQ(stats->never_fire_lanes.load(), 2u);
+
+  ASSERT_EQ(batched.records.size(), scalar.records.size());
+  for (std::size_t r = 0; r < scalar.records.size(); ++r) {
+    EXPECT_TRUE(reports_identical(batched.records[r].report,
+                                  scalar.records[r].report))
+        << "record " << r;
+  }
+}
+
+// Settle-then-pack on a plan that splits cleanly: TIC1 bit flips are
+// masked within the settle window in every run, pulscnt bit flips persist
+// to the horizon in every run. Settle batches mix the two; finish batches
+// must carry exactly the pulscnt lanes, densely packed, and the kernel
+// sweeps the horizon only for them.
+TEST(BatchCampaign, FinishBatchesCarryOnlyUnsettledLanes) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 2);
+  fi::CampaignConfig config;
+  config.test_case_count = 2;
+  config.seed = 0x5E77;
+  config.batch_size = 16;
+  const fi::BusSignalId tic1 = bus_id("TIC1");
+  const fi::BusSignalId pulscnt = bus_id("pulscnt");
+  for (unsigned bit = 0; bit < 16; ++bit) {
+    config.injections.push_back(
+        fi::InjectionSpec{tic1, 50 * sim::kMillisecond, fi::bit_flip(bit)});
+    config.injections.push_back(fi::InjectionSpec{
+        pulscnt, 50 * sim::kMillisecond, fi::bit_flip(bit)});
+  }
+  const fi::CampaignResult scalar =
+      fi::run_campaign(campaign_runner(cases, kShortRun), config);
+
+  obs::MetricsRegistry metrics;
+  const obs::Telemetry telemetry{&metrics, nullptr, nullptr};
+  const auto stats = std::make_shared<BatchRunStats>();
+  PhaseLog log;
+  const fi::CampaignResult batched = fi::run_campaign(
+      log.wrap(batched_campaign_runner(cases, config, kShortRun, nullptr,
+                                       stats, &telemetry)),
+      config);
+
+  std::multiset<std::size_t> pulscnt_flats;
+  for (std::size_t flat = 0; flat < scalar.records.size(); ++flat) {
+    if (scalar.records[flat].target == pulscnt) pulscnt_flats.insert(flat);
+  }
+  ASSERT_EQ(pulscnt_flats.size(), 32u);
+  // 64 lanes settle in 4 batches of 16 (8 TIC1 + 8 pulscnt each); the 32
+  // pulscnt lanes finish in 2 full batches.
+  EXPECT_EQ(log.settle_batches(), 4u);
+  EXPECT_EQ(log.unsettled(), pulscnt_flats);
+  EXPECT_EQ(log.finish(), pulscnt_flats);
+  EXPECT_EQ(log.finish_lane_counts(), (std::vector<std::size_t>{16, 16}));
+  EXPECT_EQ(stats->batches.load(), 6u);
+  EXPECT_EQ(stats->batched_lanes.load(), 64u);
+  EXPECT_EQ(stats->retired_converged.load() +
+                stats->retired_exhausted.load(),
+            32u);
+  // Kernel ticks: 4 settle batches of 16 ticks, then 2 finish batches from
+  // the 50 ms checkpoint to the 300 ms horizon.
+  EXPECT_EQ(metrics.counter("batch.kernel.ticks").value(),
+            4u * kConvergenceCheckPeriod + 2u * 250u);
 
   ASSERT_EQ(batched.records.size(), scalar.records.size());
   for (std::size_t r = 0; r < scalar.records.size(); ++r) {
@@ -622,18 +888,24 @@ TEST(BatchDelta, InvalidatedRunsExecuteThroughPackedBatches) {
   changed.module_versions =
       module_version_tokens({{"V_REG", 0x5EED5EED5EED5EEDULL}});
   const auto stats = std::make_shared<BatchRunStats>();
+  PhaseLog log;
   const fs::path delta_dir = fresh_dir("batch_delta_out");
   const store::DeltaJournalSummary summary =
       store::run_delta_journaled_campaign(
-          batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
+          log.wrap(batched_campaign_runner(cases, config, kShortRun, nullptr,
+                                           stats)),
           config, model, binding, delta_dir,
           store::ResultCache::load(base_dir), changed);
 
   EXPECT_EQ(summary.executed, 12u);  // 6 SetValue instants x 2 test cases
   EXPECT_EQ(summary.replayed, 12u);
-  // Packing proof: 12 single-lane (test case, fire tick) groups ran as
-  // ceil(12 / 8) = 2 batches, not 12.
-  EXPECT_EQ(stats->batches.load(), 2u);
+  // Packing proof: 12 single-lane (test case, fire tick) groups settled in
+  // ceil(12 / 8) = 2 batches, not 12, and their undecided lanes finished
+  // in ceil(unsettled / 8).
+  EXPECT_EQ(log.settle_batches(), 2u);
+  EXPECT_GT(log.finish_batches(), 0u);
+  EXPECT_EQ(log.finish_batches(), batches_for(log.unsettled().size(), 8));
+  EXPECT_EQ(stats->batches.load(), 2u + log.finish_batches());
   EXPECT_EQ(stats->batched_lanes.load(), 12u);
   EXPECT_EQ(journal_csv(delta_dir), cold_csv);
 }

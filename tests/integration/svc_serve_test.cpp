@@ -247,10 +247,11 @@ TEST(ServeCampaign, TraceStreamsCarryTheFullSpanAncestry) {
   ASSERT_EQ(offsets.size(), 2u);
 
   // Worker streams: every worker.lease span is parented by a dispatcher
-  // serve.lease span (the wire-propagated id), and every run end event
+  // serve.lease span (the wire-propagated id), and every batch event
   // falls inside one of its process's lease windows -- the containment
-  // rule the exporter uses to parent synthesized campaign.run spans.
+  // rule the exporter uses to parent synthesized campaign.batch spans.
   std::vector<obs::TraceStream> streams = {dispatcher};
+  std::size_t batches = 0;
   for (std::uint32_t worker_id = 0; worker_id < 2; ++worker_id) {
     obs::TraceStream stream = load_stream(
         dir / ("telemetry-w" + std::to_string(worker_id) + ".ndjson"),
@@ -269,28 +270,30 @@ TEST(ServeCampaign, TraceStreamsCarryTheFullSpanAncestry) {
       lease_windows.emplace_back(start, start + u64_field(row, "dur_us"));
     }
     EXPECT_FALSE(lease_windows.empty());
-    std::size_t runs = 0;
+    std::size_t worker_batches = 0;
     for (const auto& row : stream.events) {
-      if (str_field(row, "event") != "campaign.run.end") continue;
-      ++runs;
+      if (str_field(row, "event") != "campaign.batch.done") continue;
+      ++worker_batches;
       const std::uint64_t t = u64_field(row, "t_us");
       bool contained = false;
       for (const auto& [begin, end] : lease_windows) {
         contained |= t >= begin && t <= end;
       }
-      EXPECT_TRUE(contained) << "run at t_us=" << t << " outside every lease";
+      EXPECT_TRUE(contained)
+          << "batch at t_us=" << t << " outside every lease";
     }
-    EXPECT_GT(runs, 0u);
+    EXPECT_GT(worker_batches, 0u);
+    batches += worker_batches;
     streams.push_back(std::move(stream));
   }
 
-  // The merged export renders every span and synthesizes every run.
+  // The merged export renders every span and synthesizes every batch.
   std::ostringstream trace;
   const obs::TraceExportSummary exported =
       obs::write_chrome_trace(trace, streams);
   EXPECT_GE(exported.spans,
             1 + summary.leases_completed * 2);  // root + serve/worker leases
-  EXPECT_GE(exported.synthesized, summary.total_runs);
+  EXPECT_GE(exported.synthesized, batches);
   EXPECT_GT(exported.counter_samples, 0u);
   EXPECT_EQ(trace.str().rfind("{\"displayTimeUnit\":\"ms\"", 0), 0u);
 }

@@ -147,22 +147,33 @@ TEST(TelemetryCampaign, CsvIsByteIdenticalWithTelemetryOnOrOff) {
             traced.journal_bytes);
   EXPECT_GT(traced.wall_seconds, 0.0);
 
-  // ...every event line must parse back...
+  // ...every event line must parse back, and the per-batch events must
+  // account for every executed run and every diverged one...
   std::istringstream lines(events_out.str());
-  std::size_t event_lines = 0, injection_done = 0;
+  std::size_t event_lines = 0, batch_settled = 0, batch_diverged = 0;
   for (std::string line; std::getline(lines, line);) {
     const auto fields = obs::parse_flat_json_object(line);
     ASSERT_TRUE(fields.has_value()) << line;
     ++event_lines;
+    bool batch_done = false;
+    std::size_t settled = 0, diverged = 0;
     for (const obs::Field& field : *fields) {
-      if (field.key == "event" &&
-          field.value == obs::Value("injection.done")) {
-        ++injection_done;
+      if (field.key == "event") {
+        batch_done = field.value == obs::Value("campaign.batch.done");
+      } else if (field.key == "settled") {
+        settled = field.value.as_uint();
+      } else if (field.key == "diverged") {
+        diverged = field.value.as_uint();
       }
+    }
+    if (batch_done) {
+      batch_settled += settled;
+      batch_diverged += diverged;
     }
   }
   EXPECT_GT(event_lines, 0u);
-  EXPECT_EQ(injection_done, traced.executed);
+  EXPECT_EQ(batch_settled, traced.executed);
+  EXPECT_EQ(batch_diverged, traced.diverged);
 
   // ...and the spans must include the campaign phases.
   bool saw_campaign_span = false;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -135,6 +137,44 @@ TEST(Histogram, QuantilesStayWithinObservedRange) {
       EXPECT_GE(q, range.first) << "q=" << i;
       EXPECT_LE(q, range.second) << "q=" << i;
     }
+  }
+}
+
+TEST(Histogram, OneTwoFiveBoundsStepThroughEveryDecade) {
+  EXPECT_EQ(one_two_five_bounds(1, 1000),
+            (std::vector<double>{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}));
+  const std::vector<double> wide = one_two_five_bounds(1, 1e8);
+  EXPECT_EQ(wide.size(), 25u);
+  EXPECT_DOUBLE_EQ(wide.back(), 1e8);
+  EXPECT_EQ(one_two_five_bounds(10, 40), (std::vector<double>{10, 20}));
+  EXPECT_THROW(one_two_five_bounds(0, 10), std::invalid_argument);
+  EXPECT_THROW(one_two_five_bounds(10, 1), std::invalid_argument);
+}
+
+// A two-mode latency distribution like a settle-then-pack campaign's
+// batches: 60% short (40-60 us), 40% long (5-9 ms). With 1-2-5 bounds the
+// estimated p50 and p90 land within one bucket of the exact quantiles.
+TEST(Histogram, OneTwoFiveQuantilesLandWithinOneBucketOfExact) {
+  MetricsRegistry registry;
+  const std::vector<double> bounds = one_two_five_bounds(1, 1e8);
+  Histogram& histogram = registry.histogram("lat", bounds);
+  std::vector<double> values;
+  for (int i = 0; i < 600; ++i) values.push_back(40.0 + i * 20.0 / 600.0);
+  for (int i = 0; i < 400; ++i) values.push_back(5000.0 + i * 10.0);
+  for (const double v : values) histogram.observe(v);
+  const HistogramSnapshot snap = registry.snapshot().histograms.at("lat");
+
+  const auto bucket = [&bounds](double v) {
+    return std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin();
+  };
+  for (const double q : {0.5, 0.9}) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    // Nearest-rank exact quantile of the sorted sample.
+    const double exact =
+        values[static_cast<std::size_t>(q * values.size()) - 1];
+    const double estimate = snap.quantile(q);
+    EXPECT_LE(std::abs(bucket(estimate) - bucket(exact)), 1)
+        << "exact " << exact << ", estimate " << estimate;
   }
 }
 

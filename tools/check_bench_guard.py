@@ -5,8 +5,10 @@ Two layers of checking, matching what is deterministic where:
 
   1. Lane occupancy, exactly. The batch planner is deterministic: for a
      given scale it must pack the batched/sparse/delta lane sets into the
-     minimum number of batches (ceil(lanes / width)), and the recorded
-     lane_occupancy must equal lanes / (batches * width) to the digit.
+     minimum number of settle batches (ceil(lanes / width)), the lanes
+     those leave undecided into the minimum number of finish batches
+     (ceil(finish_lanes / width)), and the recorded lane_occupancy must
+     equal lanes / (batches * width) to the digit.
      Any looseness here means the planner regressed to thinner packing
      (e.g. one batch per (test case, fire tick) group) -- that is a
      correctness bug in the plan, not machine noise, so it fails even
@@ -65,6 +67,16 @@ def check_occupancy(label: str, section: dict) -> None:
             f"width {width}; a maximal packing needs exactly {minimum} -- "
             f"the planner stopped packing across groups"
         )
+    if "finish_batches" in section:
+        finish_batches = section["finish_batches"]
+        finish_lanes = section.get("finish_lanes", 0)
+        finish_minimum = math.ceil(finish_lanes / width)
+        if finish_batches != finish_minimum:
+            fail(
+                f"{label}: {finish_lanes} undecided lane(s) repacked into "
+                f"{finish_batches} finish batch(es) of width {width}; a "
+                f"dense repack needs exactly {finish_minimum}"
+            )
     expected = lanes / (batches * width)
     if not math.isclose(section["lane_occupancy"], expected, rel_tol=1e-9):
         fail(

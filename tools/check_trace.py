@@ -8,9 +8,10 @@ Two layers of checking:
      them, a duration on complete ("X") events, a numeric args.value on
      counter ("C") samples and a scope on instants ("i").
 
-  2. Ancestry: every synthesized campaign.run span must reach a dispatcher
-     serve.lease span by walking args.parent_span_id through the span map
-     (campaign.run -> worker.lease -> serve.lease). This is the
+  2. Ancestry: every synthesized campaign.batch span (one per injection
+     batch) and campaign.run span (one per golden run) must reach a
+     dispatcher serve.lease span by walking args.parent_span_id through the
+     span map (campaign.batch -> worker.lease -> serve.lease). This is the
      cross-process contract of the wire-propagated trace context -- if a
      worker span ever detaches from its dispatcher lease, the trace is
      still loadable but the campaign timeline is lies, so CI fails here.
@@ -45,7 +46,7 @@ def main() -> None:
         fail("traceEvents missing or empty")
 
     spans = {}  # span_id -> (name, parent_span_id)
-    runs = []
+    synthesized = {"campaign.run": [], "campaign.batch": []}
     counts = {phase: 0 for phase in VALID_PHASES}
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
@@ -65,8 +66,9 @@ def main() -> None:
             span_id = args.get("span_id")
             if span_id:
                 spans[span_id] = (event["name"], args.get("parent_span_id", 0))
-            if event["name"] == "campaign.run":
-                runs.append((where, args.get("parent_span_id", 0)))
+            if event["name"] in synthesized:
+                synthesized[event["name"]].append(
+                    (where, args.get("parent_span_id", 0)))
         elif phase == "C":
             if not isinstance(args.get("value"), (int, float)):
                 fail(f"{where}: counter without numeric args.value")
@@ -74,31 +76,35 @@ def main() -> None:
             if event.get("s") != "p":
                 fail(f"{where}: instant without process scope")
 
-    if not runs:
-        fail("no campaign.run spans in the trace")
+    for kind, found in synthesized.items():
+        if not found:
+            fail(f"no {kind} spans in the trace")
     if not any(name == "serve.lease" for name, _ in spans.values()):
         fail("no serve.lease spans in the trace")
 
-    for where, parent in runs:
-        chain = []
-        while parent:
-            if parent not in spans:
-                fail(f"{where}: parent_span_id {parent} is not in the trace")
-            name, parent = spans[parent]
-            chain.append(name)
-            if name == "serve.lease":
-                break
-            if len(chain) > 16:
-                fail(f"{where}: ancestry loop through {chain}")
-        if "serve.lease" not in chain:
-            fail(f"{where}: campaign.run never reaches a serve.lease "
-                 f"ancestor (chain: {chain or 'detached'})")
+    for kind, found in synthesized.items():
+        for where, parent in found:
+            chain = []
+            while parent:
+                if parent not in spans:
+                    fail(f"{where}: parent_span_id {parent} is not in the "
+                         f"trace")
+                name, parent = spans[parent]
+                chain.append(name)
+                if name == "serve.lease":
+                    break
+                if len(chain) > 16:
+                    fail(f"{where}: ancestry loop through {chain}")
+            if "serve.lease" not in chain:
+                fail(f"{where}: {kind} never reaches a serve.lease "
+                     f"ancestor (chain: {chain or 'detached'})")
 
     print(
         f"check_trace: OK: {len(events)} events "
         f"({counts['X']} X, {counts['C']} C, {counts['i']} i, "
-        f"{counts['M']} M); all {len(runs)} campaign.run spans reach a "
-        f"serve.lease ancestor"
+        f"{counts['M']} M); all {len(synthesized['campaign.batch'])} "
+        f"campaign.batch and {len(synthesized['campaign.run'])} "
+        f"campaign.run spans reach a serve.lease ancestor"
     )
 
 

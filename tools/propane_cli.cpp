@@ -32,8 +32,9 @@
 // --no-telemetry disables) and shows a live progress HUD on a TTY
 // (--progress forces it on, --no-progress off). `campaign top` summarises
 // the event log(s) -- the dispatcher's plus every worker's
-// telemetry-w<id>.ndjson: per-event counts, injection latencies,
-// divergence rate, journal growth, the final metric values and a
+// telemetry-w<id>.ndjson: per-event counts, injection and divergence
+// counts and measured batch latencies (from the per-batch events), the
+// journal size (from the shard files), the final metric values and a
 // per-stream breakdown. `campaign trace` merges the same streams (clocks
 // aligned via the HELLO handshake) into one Chrome/Perfetto trace-event
 // JSON; --postmortem additionally recovers the tail events a SIGKILLed
@@ -1031,10 +1032,13 @@ void print_batch_occupancy_from_telemetry(const CampaignArgs& args) {
   print_batch_occupancy(batches, lanes);
 }
 
-/// Per-stream tallies for the `campaign top` breakdown table.
+/// Per-stream tallies for the `campaign top` breakdown table. Injection
+/// and diverged counts add up the campaign.batch.done events' settled and
+/// diverged fields: telemetry accounts per batch, not per run.
 struct StreamTally {
   std::string label;
   std::size_t events = 0;
+  std::size_t batches = 0;
   std::size_t injections = 0;
   std::size_t diverged = 0;
   std::size_t torn = 0;
@@ -1056,9 +1060,8 @@ int cmd_campaign_top(const CampaignArgs& args) {
   }
 
   std::map<std::string, std::size_t> event_counts;
-  std::size_t injections = 0, injections_diverged = 0;
-  double injection_dur_sum_us = 0.0, injection_dur_max_us = 0.0;
-  std::map<std::string, std::uint64_t> shard_bytes;  // shard -> last total
+  std::size_t batches = 0, injections = 0, injections_diverged = 0;
+  double batch_dur_sum_us = 0.0, batch_dur_max_us = 0.0;
   std::vector<obs::Field> last_done;   // most recent campaign.done
   std::map<std::string, std::string> final_metrics;  // last metric events
   std::uint64_t batch_groups = 0;      // batch.group.lanes totals, summed
@@ -1131,26 +1134,21 @@ int cmd_campaign_top(const CampaignArgs& args) {
         t_last = t_us->as_uint();
         t_first = std::min(t_first, t_us->as_uint());
       }
-      if (event == "injection.done") {
-        ++injections;
-        ++tally.injections;
-        if (const obs::Value* d = find_field(*fields, "diverged_signals");
-            d != nullptr && d->is_number() && d->as_uint() > 0) {
-          ++injections_diverged;
-          ++tally.diverged;
-        }
+      if (event == "campaign.batch.done") {
+        const auto count = [&fields](const char* key) -> std::size_t {
+          const obs::Value* v = find_field(*fields, key);
+          return v != nullptr && v->is_number() ? v->as_uint() : 0;
+        };
+        ++batches;
+        ++tally.batches;
+        injections += count("settled");
+        tally.injections += count("settled");
+        injections_diverged += count("diverged");
+        tally.diverged += count("diverged");
         if (const obs::Value* dur = find_field(*fields, "dur_us");
             dur != nullptr && dur->is_number()) {
-          injection_dur_sum_us += dur->as_double();
-          injection_dur_max_us = std::max(injection_dur_max_us,
-                                          dur->as_double());
-        }
-      } else if (event == "journal.append") {
-        const obs::Value* shard = find_field(*fields, "shard");
-        const obs::Value* total = find_field(*fields, "total_bytes");
-        if (shard != nullptr && shard->kind() == obs::Value::Kind::kString &&
-            total != nullptr && total->is_number()) {
-          shard_bytes[shard->as_string()] = total->as_uint();
+          batch_dur_sum_us += dur->as_double();
+          batch_dur_max_us = std::max(batch_dur_max_us, dur->as_double());
         }
       } else if (event == "campaign.done" || event == "delta.done") {
         // delta.done carries replayed-vs-executed counts; whichever kind of
@@ -1212,11 +1210,12 @@ int cmd_campaign_top(const CampaignArgs& args) {
 
   if (tallies.size() > 1) {
     TextTable streams_table(
-        {"Stream", "Events", "Injections", "Diverged", "Span s"});
+        {"Stream", "Events", "Batches", "Injections", "Diverged", "Span s"});
     for (const StreamTally& tally : tallies) {
       char span_cell[32];
       std::snprintf(span_cell, sizeof(span_cell), "%.2f", tally.span_s);
       streams_table.add_row({tally.label, std::to_string(tally.events),
+                             std::to_string(tally.batches),
                              std::to_string(tally.injections),
                              std::to_string(tally.diverged), span_cell});
     }
@@ -1224,20 +1223,30 @@ int cmd_campaign_top(const CampaignArgs& args) {
   }
 
   if (injections > 0) {
-    std::printf(
-        "injections: %zu done, %zu diverged (%.1f%%), "
-        "mean %.1f ms, max %.1f ms\n",
-        injections, injections_diverged,
-        100.0 * static_cast<double>(injections_diverged) /
-            static_cast<double>(injections),
-        injection_dur_sum_us / static_cast<double>(injections) / 1e3,
-        injection_dur_max_us / 1e3);
+    std::printf("injections: %zu done, %zu diverged (%.1f%%)\n", injections,
+                injections_diverged,
+                100.0 * static_cast<double>(injections_diverged) /
+                    static_cast<double>(injections));
   }
-  if (!shard_bytes.empty()) {
+  if (batches > 0) {
+    // Measured per batch: a batch's wall time is not divided among its
+    // lanes.
+    std::printf("batches: %zu, mean %.1f ms, max %.1f ms\n", batches,
+                batch_dur_sum_us / static_cast<double>(batches) / 1e3,
+                batch_dur_max_us / 1e3);
+  }
+  // Journal size from the shard files themselves.
+  const std::vector<std::filesystem::path> shards =
+      store::ShardedJournalWriter::list_shards(args.journal);
+  if (!shards.empty()) {
     std::uint64_t total = 0;
-    for (const auto& [_, bytes] : shard_bytes) total += bytes;
+    for (const std::filesystem::path& shard : shards) {
+      std::error_code ec;
+      const std::uintmax_t bytes = std::filesystem::file_size(shard, ec);
+      if (!ec) total += bytes;
+    }
     std::printf("journal: %llu bytes across %zu shard(s)\n",
-                static_cast<unsigned long long>(total), shard_bytes.size());
+                static_cast<unsigned long long>(total), shards.size());
   }
   print_batch_occupancy(batch_groups, batch_lanes);
   if (!last_done.empty()) {
