@@ -25,9 +25,8 @@ struct BatchInstruments {
     group_lanes = obs::find_histogram(
         telemetry, "batch.group.lanes",
         {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-    retire_ticks = obs::find_histogram(
-        telemetry, "batch.retire.ticks",
-        {16, 64, 256, 1024, 4096, 16384, 65536});
+    retire_ticks = obs::find_histogram(telemetry, "batch.retire.ticks",
+                                       obs::one_two_five_bounds(10, 1e5));
     kernel_ticks = obs::find_counter(telemetry, "batch.kernel.ticks");
     lut_gathers = obs::find_counter(telemetry, "batch.kernel.lut_gathers");
     exact_div_ops =

@@ -154,8 +154,6 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-namespace {
-
 void append_json_value(std::string& out, const Value& value) {
   char buffer[24];
   switch (value.kind()) {
@@ -188,7 +186,44 @@ void append_json_value(std::string& out, const Value& value) {
   }
 }
 
-}  // namespace
+std::string to_text(const Value& value) {
+  switch (value.kind()) {
+    case Value::Kind::kDouble: {
+      char buffer[32];
+      std::snprintf(buffer, sizeof(buffer), "%g", value.as_double());
+      return buffer;
+    }
+    case Value::Kind::kString:
+      return value.as_string();
+    default: {
+      std::string out;
+      append_json_value(out, value);
+      return out;
+    }
+  }
+}
+
+const Value* find_field(const std::vector<Field>& fields,
+                        std::string_view key) {
+  for (const Field& field : fields) {
+    if (field.key == key) return &field.value;
+  }
+  return nullptr;
+}
+
+std::uint64_t u64_or(const std::vector<Field>& fields, std::string_view key,
+                     std::uint64_t fallback) {
+  const Value* value = find_field(fields, key);
+  return value != nullptr && value->is_number() ? value->as_uint() : fallback;
+}
+
+std::string str_or(const std::vector<Field>& fields, std::string_view key,
+                   std::string fallback) {
+  const Value* value = find_field(fields, key);
+  return value != nullptr && value->kind() == Value::Kind::kString
+             ? value->as_string()
+             : fallback;
+}
 
 std::string event_to_json(const Event& event) {
   std::string out = "{\"event\":\"";

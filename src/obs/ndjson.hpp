@@ -127,6 +127,23 @@ std::string json_escape(std::string_view text);
 /// Serialises one event as a single JSON object (no trailing newline).
 std::string event_to_json(const Event& event);
 
+/// Appends `value` as a JSON scalar: strings quoted and escaped, doubles in
+/// shortest round-trip form, non-finite doubles as null.
+void append_json_value(std::string& out, const Value& value);
+
+/// `value` as a human-readable cell: strings unquoted, doubles as %g,
+/// everything else as in JSON.
+std::string to_text(const Value& value);
+
+/// The value of field `key` in a parsed event, or null when absent.
+const Value* find_field(const std::vector<Field>& fields, std::string_view key);
+/// Field `key` as an unsigned number, or `fallback` when absent or not one.
+std::uint64_t u64_or(const std::vector<Field>& fields, std::string_view key,
+                     std::uint64_t fallback);
+/// Field `key` as a string, or `fallback` when absent or not one.
+std::string str_or(const std::vector<Field>& fields, std::string_view key,
+                   std::string fallback);
+
 /// Parses one NDJSON line produced by NdjsonSink back into its fields
 /// (including the "event" and "t_us" fields). Returns nullopt on anything
 /// malformed -- a torn final line from a still-running writer, truncation,

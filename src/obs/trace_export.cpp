@@ -2,79 +2,18 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
-#include <istream>
 #include <ostream>
+#include <set>
 #include <string_view>
 
 namespace propane::obs {
 
 namespace {
 
-const Value* find(const std::vector<Field>& fields, std::string_view key) {
-  for (const Field& field : fields) {
-    if (field.key == key) return &field.value;
-  }
-  return nullptr;
-}
-
-std::uint64_t u64_or(const std::vector<Field>& fields, std::string_view key,
-                     std::uint64_t fallback) {
-  const Value* value = find(fields, key);
-  return value != nullptr && value->is_number() ? value->as_uint() : fallback;
-}
-
-std::string str_or(const std::vector<Field>& fields, std::string_view key,
-                   std::string fallback) {
-  const Value* value = find(fields, key);
-  return value != nullptr && value->kind() == Value::Kind::kString
-             ? value->as_string()
-             : fallback;
-}
-
 void append_number(std::string& out, std::int64_t v) {
   char buffer[24];
   const auto r = std::to_chars(buffer, buffer + sizeof(buffer), v);
   out.append(buffer, r.ptr);
-}
-
-void append_value(std::string& out, const Value& value) {
-  char buffer[32];
-  switch (value.kind()) {
-    case Value::Kind::kNull:
-      out += "null";
-      break;
-    case Value::Kind::kBool:
-      out += value.as_bool() ? "true" : "false";
-      break;
-    case Value::Kind::kInt: {
-      const auto r =
-          std::to_chars(buffer, buffer + sizeof(buffer), value.as_int());
-      out.append(buffer, r.ptr);
-      break;
-    }
-    case Value::Kind::kUint: {
-      const auto r =
-          std::to_chars(buffer, buffer + sizeof(buffer), value.as_uint());
-      out.append(buffer, r.ptr);
-      break;
-    }
-    case Value::Kind::kDouble: {
-      const double v = value.as_double();
-      if (!std::isfinite(v)) {
-        out += "null";
-        break;
-      }
-      const auto r = std::to_chars(buffer, buffer + sizeof(buffer), v);
-      out.append(buffer, r.ptr);
-      break;
-    }
-    case Value::Kind::kString:
-      out += '"';
-      out += json_escape(value.as_string());
-      out += '"';
-      break;
-  }
 }
 
 /// Builds one trace-event JSON object. `args` may be empty.
@@ -112,7 +51,7 @@ std::string trace_event(char phase, std::string_view name, std::int64_t pid,
       out += '"';
       out += json_escape(field.key);
       out += "\":";
-      append_value(out, field.value);
+      append_json_value(out, field.value);
     }
     out += '}';
   }
@@ -139,30 +78,33 @@ struct LeaseInterval {
   std::uint64_t span_id = 0;
 };
 
-}  // namespace
-
-std::size_t parse_ndjson_stream(std::istream& in,
-                                std::vector<std::vector<Field>>& out) {
-  std::size_t skipped = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto fields = parse_flat_json_object(line);
-    if (!fields.has_value()) {
-      ++skipped;  // torn tail of a killed writer, or mid-file crash residue
+/// Appends the intervals of `stream`'s spans named `name`, on the merged
+/// timeline.
+void append_span_intervals(const TraceStream& stream, std::string_view name,
+                           std::vector<LeaseInterval>& out) {
+  for (const std::vector<Field>& event : stream.events) {
+    if (str_or(event, "event", "") != "span" ||
+        str_or(event, "name", "") != name) {
       continue;
     }
-    out.push_back(std::move(*fields));
+    const std::uint64_t dur = u64_or(event, "dur_us", 0);
+    const std::int64_t start =
+        stream.clock_offset_us +
+        static_cast<std::int64_t>(
+            u64_or(event, "start_us", u64_or(event, "t_us", 0) - dur));
+    out.push_back(LeaseInterval{start, start + static_cast<std::int64_t>(dur),
+                                u64_or(event, "id", 0)});
   }
-  return skipped;
 }
+
+}  // namespace
 
 std::map<std::uint32_t, std::int64_t> hello_clock_offsets(
     const TraceStream& dispatcher) {
   std::map<std::uint32_t, std::int64_t> offsets;
   for (const std::vector<Field>& event : dispatcher.events) {
     if (str_or(event, "event", "") != "serve.worker.hello") continue;
-    const Value* steady = find(event, "worker_steady_us");
+    const Value* steady = find_field(event, "worker_steady_us");
     if (steady == nullptr || !steady->is_number()) continue;
     const auto worker_id =
         static_cast<std::uint32_t>(u64_or(event, "worker_id", 0));
@@ -173,6 +115,103 @@ std::map<std::uint32_t, std::int64_t> hello_clock_offsets(
         receipt - static_cast<std::int64_t>(steady->as_uint());
   }
   return offsets;
+}
+
+TraceStreamSet assemble_trace_streams(const CampaignLogSet& logs,
+                                      bool postmortem) {
+  TraceStreamSet set;
+  // Raw lines per worker, for telling which flight-ring lines the NDJSON
+  // log already holds.
+  std::map<std::uint32_t, std::set<std::string>> worker_lines;
+  std::map<std::uint32_t, std::size_t> worker_stream_index;
+  for (const CampaignLog& log : logs.logs) {
+    TraceStream stream;
+    stream.name = log.label;
+    stream.pid = 1;  // the dispatcher's is refined from serve.done below
+    std::set<std::string>* seen = nullptr;
+    if (log.worker_id.has_value()) {
+      worker_stream_index[*log.worker_id] = set.streams.size();
+      seen = &worker_lines[*log.worker_id];
+    }
+    set.torn_lines += read_campaign_log(
+        log.path, [&](std::vector<Field>& fields, std::string_view line) {
+          if (seen != nullptr) seen->emplace(line);
+          stream.events.push_back(std::move(fields));
+        });
+    set.streams.push_back(std::move(stream));
+  }
+
+  std::map<std::uint32_t, std::int64_t> worker_pids;
+  std::map<std::uint32_t, std::int64_t> offsets;
+  for (TraceStream& stream : set.streams) {
+    if (stream.name != "dispatcher") continue;
+    for (const std::vector<Field>& event : stream.events) {
+      const std::string name = str_or(event, "event", "");
+      const Value* pid = find_field(event, "pid");
+      const Value* id = find_field(event, "worker_id");
+      if (pid == nullptr || !pid->is_number()) continue;
+      if (name == "serve.worker.spawn" && id != nullptr && id->is_number()) {
+        worker_pids[static_cast<std::uint32_t>(id->as_uint())] =
+            static_cast<std::int64_t>(pid->as_uint());
+      } else if (name == "serve.done") {
+        stream.pid = static_cast<std::int64_t>(pid->as_uint());
+      }
+    }
+    offsets = hello_clock_offsets(stream);
+  }
+  for (const auto& [id, index] : worker_stream_index) {
+    TraceStream& stream = set.streams[index];
+    const auto pid = worker_pids.find(id);
+    stream.pid = pid != worker_pids.end()
+                     ? pid->second
+                     : 1000 + static_cast<std::int64_t>(id);
+    if (const auto offset = offsets.find(id); offset != offsets.end()) {
+      stream.clock_offset_us = offset->second;
+    }
+  }
+
+  for (const auto& [ring_id, path] : logs.flight_rings) {
+    const std::optional<FlightRecording> recording =
+        read_flight_recording(path);
+    if (!recording.has_value()) continue;
+    const std::uint32_t id = recording->worker_id;
+    if (!recording->clean_exit) ++set.crashed;
+    if (!postmortem) continue;
+
+    if (worker_stream_index.find(id) == worker_stream_index.end()) {
+      TraceStream stream;
+      stream.name = "w" + std::to_string(id);
+      stream.pid = static_cast<std::int64_t>(recording->pid);
+      if (const auto offset = offsets.find(id); offset != offsets.end()) {
+        stream.clock_offset_us = offset->second;
+      }
+      worker_stream_index[id] = set.streams.size();
+      set.streams.push_back(std::move(stream));
+    }
+    TraceStream& stream = set.streams[worker_stream_index[id]];
+    const std::set<std::string>& seen = worker_lines[id];
+    FlightReport report{id, recording->pid, recording->clean_exit,
+                        recording->lines.size(), 0};
+    std::uint64_t last_t_us = 0;
+    for (const std::string& line : recording->lines) {
+      if (seen.count(line) != 0) continue;
+      auto fields = parse_flat_json_object(line);
+      if (!fields.has_value()) continue;  // the ring reader drops these
+      last_t_us = std::max(last_t_us, u64_or(*fields, "t_us", 0));
+      stream.events.push_back(std::move(*fields));
+      ++report.recovered;
+    }
+    if (report.recovered > 0) {
+      stream.events.push_back({{"event", Value("flight.recovered")},
+                               {"t_us", Value(last_t_us)},
+                               {"worker_id", Value(id)},
+                               {"recovered", Value(report.recovered)},
+                               {"last_seq", Value(recording->last_seq)},
+                               {"clean_exit", Value(recording->clean_exit)}});
+    }
+    set.postmortem.push_back(report);
+  }
+  return set;
 }
 
 TraceExportSummary write_chrome_trace(
@@ -187,20 +226,7 @@ TraceExportSummary write_chrome_trace(
   // closes itself when it detects the death).
   std::vector<LeaseInterval> serve_leases;
   for (const TraceStream& stream : streams) {
-    for (const std::vector<Field>& event : stream.events) {
-      if (str_or(event, "event", "") != "span" ||
-          str_or(event, "name", "") != "serve.lease") {
-        continue;
-      }
-      const std::uint64_t dur = u64_or(event, "dur_us", 0);
-      const std::int64_t start =
-          stream.clock_offset_us +
-          static_cast<std::int64_t>(
-              u64_or(event, "start_us", u64_or(event, "t_us", 0) - dur));
-      serve_leases.push_back(LeaseInterval{
-          start, start + static_cast<std::int64_t>(dur),
-          u64_or(event, "id", 0)});
-    }
+    append_span_intervals(stream, "serve.lease", serve_leases);
   }
 
   for (const TraceStream& stream : streams) {
@@ -212,22 +238,9 @@ TraceExportSummary write_chrome_trace(
     // batch spans by time containment (runs execute on pool threads, so
     // the per-thread span stack cannot relate them to the lease).
     std::vector<LeaseInterval> leases;
+    append_span_intervals(stream, "worker.lease", leases);
     bool used_runs_tid = false;
     bool used_batches_tid = false;
-    for (const std::vector<Field>& event : stream.events) {
-      if (str_or(event, "event", "") != "span" ||
-          str_or(event, "name", "") != "worker.lease") {
-        continue;
-      }
-      const std::uint64_t dur = u64_or(event, "dur_us", 0);
-      const std::int64_t start =
-          stream.clock_offset_us +
-          static_cast<std::int64_t>(
-              u64_or(event, "start_us", u64_or(event, "t_us", 0) - dur));
-      leases.push_back(LeaseInterval{
-          start, start + static_cast<std::int64_t>(dur),
-          u64_or(event, "id", 0)});
-    }
     const auto containing_lease =
         [&leases, &serve_leases](std::int64_t ts) -> std::uint64_t {
       for (const LeaseInterval& lease : leases) {
@@ -308,7 +321,7 @@ TraceExportSummary write_chrome_trace(
       }
 
       // Counter tracks.
-      if (const Value* pending = find(event, "pending");
+      if (const Value* pending = find_field(event, "pending");
           pending != nullptr && pending->is_number()) {
         events.push_back(trace_event(
             'C', "serve.pending_ranges", stream.pid, 0, t_us, 0,
@@ -339,7 +352,7 @@ TraceExportSummary write_chrome_trace(
         ++summary.counter_samples;
       }
       if (name == "metric" && str_or(event, "kind", "") == "counter") {
-        const Value* value = find(event, "value");
+        const Value* value = find_field(event, "value");
         if (value != nullptr && value->is_number()) {
           events.push_back(trace_event(
               'C', "metric." + str_or(event, "name", "?"), stream.pid, 0,
@@ -353,7 +366,7 @@ TraceExportSummary write_chrome_trace(
       const bool instant =
           name.rfind("serve.", 0) == 0 || name.rfind("worker.", 0) == 0 ||
           name.rfind("flight.", 0) == 0 || name == "golden.done" ||
-          name == "campaign.done" || name == "delta.done" ||
+          name == "delta.done" ||
           name == "journal.resume_scan";
       if (instant) {
         std::vector<Field> args;

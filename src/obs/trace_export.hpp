@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/campaign_log.hpp"
 #include "obs/ndjson.hpp"
 
 namespace propane::obs {
@@ -64,18 +65,38 @@ struct TraceExportSummary {
   std::size_t instants = 0;         // i events
 };
 
-/// Parses NDJSON lines from `in` into parsed-field rows, appending to
-/// `out`. Malformed lines (a killed writer's torn tail) are counted, not
-/// fatal. Returns the number of lines skipped.
-std::size_t parse_ndjson_stream(std::istream& in,
-                                std::vector<std::vector<Field>>& out);
-
 /// Clock offsets for worker streams, from the dispatcher's
 /// serve.worker.hello events: offset = dispatcher receipt t_us - the
 /// worker_steady_us the worker stamped on HELLO. Workers whose hello
 /// predates the trace context (no worker_steady_us field) are absent.
 std::map<std::uint32_t, std::int64_t> hello_clock_offsets(
     const TraceStream& dispatcher);
+
+/// What became of one worker's flight ring.
+struct FlightReport {
+  std::uint32_t worker_id = 0;
+  std::uint64_t pid = 0;
+  bool clean_exit = false;
+  std::size_t ring_events = 0;
+  std::size_t recovered = 0;  // ring lines missing from the NDJSON log
+};
+
+struct TraceStreamSet {
+  std::vector<TraceStream> streams;
+  std::size_t torn_lines = 0;  // crash residue skipped (read_campaign_log)
+  std::size_t crashed = 0;     // flight rings without the clean-exit flag
+  std::vector<FlightReport> postmortem;  // one per ring, when folded in
+};
+
+/// Reads a campaign's log set into trace streams. The dispatcher stream
+/// anchors the timeline: its pid comes from serve.done, worker pids from
+/// serve.worker.spawn (else 1000 + id), worker clock offsets from the
+/// HELLO handshake. With `postmortem`, each flight ring's lines that the
+/// worker's NDJSON log lacks are appended to its stream (a stream is
+/// created for a worker that has none), followed by one flight.recovered
+/// event. Throws as read_campaign_log does.
+TraceStreamSet assemble_trace_streams(const CampaignLogSet& logs,
+                                      bool postmortem);
 
 /// Writes the merged streams as one Chrome trace-event JSON object.
 TraceExportSummary write_chrome_trace(std::ostream& out,

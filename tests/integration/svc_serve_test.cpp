@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -25,6 +24,7 @@
 #include "arrestment/system.hpp"
 #include "arrestment/testcase.hpp"
 #include "exp/paper_experiment.hpp"
+#include "obs/campaign_log.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -161,33 +161,13 @@ std::vector<std::string> traced_worker_command(const fs::path& dir) {
           "--scale",        "smoke"};
 }
 
-const obs::Value* field(const std::vector<obs::Field>& row,
-                        std::string_view key) {
-  for (const obs::Field& f : row) {
-    if (f.key == key) return &f.value;
-  }
-  return nullptr;
-}
-
-std::string str_field(const std::vector<obs::Field>& row,
-                      std::string_view key) {
-  const obs::Value* value = field(row, key);
-  return value != nullptr && value->kind() == obs::Value::Kind::kString
-             ? value->as_string()
-             : std::string();
-}
-
-std::uint64_t u64_field(const std::vector<obs::Field>& row,
-                        std::string_view key) {
-  const obs::Value* value = field(row, key);
-  return value != nullptr && value->is_number() ? value->as_uint() : 0;
-}
-
 obs::TraceStream load_stream(const fs::path& path, std::string name) {
   obs::TraceStream stream;
   stream.name = std::move(name);
-  std::ifstream in(path);
-  obs::parse_ndjson_stream(in, stream.events);
+  obs::read_campaign_log(
+      path, [&](std::vector<obs::Field>& fields, std::string_view) {
+        stream.events.push_back(std::move(fields));
+      });
   return stream;
 }
 
@@ -223,22 +203,22 @@ TEST(ServeCampaign, TraceStreamsCarryTheFullSpanAncestry) {
   std::uint64_t serve_span_id = 0;
   std::set<std::uint64_t> lease_span_ids;
   for (const auto& row : dispatcher.events) {
-    if (str_field(row, "event") != "span") continue;
-    if (str_field(row, "name") == "campaign.serve") {
-      serve_span_id = u64_field(row, "id");
-      EXPECT_EQ(u64_field(row, "parent_id"), 0u);
-      EXPECT_EQ(u64_field(row, "trace_id"), summary.trace_id);
+    if (obs::str_or(row, "event", "") != "span") continue;
+    if (obs::str_or(row, "name", "") == "campaign.serve") {
+      serve_span_id = obs::u64_or(row, "id", 0);
+      EXPECT_EQ(obs::u64_or(row, "parent_id", 0), 0u);
+      EXPECT_EQ(obs::u64_or(row, "trace_id", 0), summary.trace_id);
     }
-    if (str_field(row, "name") == "serve.lease") {
-      lease_span_ids.insert(u64_field(row, "id"));
+    if (obs::str_or(row, "name", "") == "serve.lease") {
+      lease_span_ids.insert(obs::u64_or(row, "id", 0));
     }
   }
   ASSERT_NE(serve_span_id, 0u);
   EXPECT_EQ(lease_span_ids.size(), summary.leases_completed);
   for (const auto& row : dispatcher.events) {
-    if (str_field(row, "event") == "span" &&
-        str_field(row, "name") == "serve.lease") {
-      EXPECT_EQ(u64_field(row, "parent_id"), serve_span_id);
+    if (obs::str_or(row, "event", "") == "span" &&
+        obs::str_or(row, "name", "") == "serve.lease") {
+      EXPECT_EQ(obs::u64_or(row, "parent_id", 0), serve_span_id);
     }
   }
 
@@ -259,22 +239,22 @@ TEST(ServeCampaign, TraceStreamsCarryTheFullSpanAncestry) {
     stream.clock_offset_us = offsets.at(worker_id);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> lease_windows;
     for (const auto& row : stream.events) {
-      if (str_field(row, "event") != "span" ||
-          str_field(row, "name") != "worker.lease") {
+      if (obs::str_or(row, "event", "") != "span" ||
+          obs::str_or(row, "name", "") != "worker.lease") {
         continue;
       }
-      EXPECT_EQ(lease_span_ids.count(u64_field(row, "parent_id")), 1u)
+      EXPECT_EQ(lease_span_ids.count(obs::u64_or(row, "parent_id", 0)), 1u)
           << "worker.lease parent must be a dispatcher serve.lease span";
-      EXPECT_EQ(u64_field(row, "trace_id"), summary.trace_id);
-      const std::uint64_t start = u64_field(row, "start_us");
-      lease_windows.emplace_back(start, start + u64_field(row, "dur_us"));
+      EXPECT_EQ(obs::u64_or(row, "trace_id", 0), summary.trace_id);
+      const std::uint64_t start = obs::u64_or(row, "start_us", 0);
+      lease_windows.emplace_back(start, start + obs::u64_or(row, "dur_us", 0));
     }
     EXPECT_FALSE(lease_windows.empty());
     std::size_t worker_batches = 0;
     for (const auto& row : stream.events) {
-      if (str_field(row, "event") != "campaign.batch.done") continue;
+      if (obs::str_or(row, "event", "") != "campaign.batch.done") continue;
       ++worker_batches;
-      const std::uint64_t t = u64_field(row, "t_us");
+      const std::uint64_t t = obs::u64_or(row, "t_us", 0);
       bool contained = false;
       for (const auto& [begin, end] : lease_windows) {
         contained |= t >= begin && t <= end;
@@ -334,8 +314,8 @@ TEST(ServeCampaign, PostmortemFlightRecorderMarksTheCrashedWorker) {
     for (const std::string& line : recording->lines) {
       const auto row = obs::parse_flat_json_object(line);
       ASSERT_TRUE(row.has_value()) << line;
-      saw_lease_span |= str_field(*row, "event") == "span" &&
-                        str_field(*row, "name") == "worker.lease";
+      saw_lease_span |= obs::str_or(*row, "event", "") == "span" &&
+                        obs::str_or(*row, "name", "") == "worker.lease";
     }
     EXPECT_TRUE(saw_lease_span) << "worker " << worker_id;
   }

@@ -14,13 +14,6 @@
 namespace propane::obs {
 namespace {
 
-const Value* find(const std::vector<Field>& fields, std::string_view key) {
-  for (const Field& field : fields) {
-    if (field.key == key) return &field.value;
-  }
-  return nullptr;
-}
-
 std::vector<Field> round_trip(const Event& event) {
   const auto fields = parse_flat_json_object(event_to_json(event));
   EXPECT_TRUE(fields.has_value()) << event_to_json(event);
@@ -34,8 +27,8 @@ TEST(Escaping, ControlCharactersAndQuotesRoundTrip) {
   event.name = nasty;
   event.fields = {{"msg", Value(nasty)}};
   const std::vector<Field> fields = round_trip(event);
-  const Value* name = find(fields, "event");
-  const Value* msg = find(fields, "msg");
+  const Value* name = find_field(fields, "event");
+  const Value* msg = find_field(fields, "msg");
   ASSERT_NE(name, nullptr);
   ASSERT_NE(msg, nullptr);
   EXPECT_EQ(name->as_string(), nasty);
@@ -62,14 +55,14 @@ TEST(Numbers, ExtremesRoundTripExactly) {
       {"nothing", Value()},
   };
   const std::vector<Field> fields = round_trip(event);
-  EXPECT_EQ(find(fields, "i64min")->as_int(),
+  EXPECT_EQ(find_field(fields, "i64min")->as_int(),
             std::numeric_limits<std::int64_t>::min());
-  EXPECT_EQ(find(fields, "u64max")->as_uint(),
+  EXPECT_EQ(find_field(fields, "u64max")->as_uint(),
             std::numeric_limits<std::uint64_t>::max());
-  EXPECT_DOUBLE_EQ(find(fields, "frac")->as_double(), 0.1);
-  EXPECT_DOUBLE_EQ(find(fields, "huge")->as_double(), -1.5e300);
-  EXPECT_TRUE(find(fields, "flag")->as_bool());
-  EXPECT_EQ(find(fields, "nothing")->kind(), Value::Kind::kNull);
+  EXPECT_DOUBLE_EQ(find_field(fields, "frac")->as_double(), 0.1);
+  EXPECT_DOUBLE_EQ(find_field(fields, "huge")->as_double(), -1.5e300);
+  EXPECT_TRUE(find_field(fields, "flag")->as_bool());
+  EXPECT_EQ(find_field(fields, "nothing")->kind(), Value::Kind::kNull);
 }
 
 TEST(Numbers, NonFiniteDoublesSerialiseAsNull) {
@@ -77,7 +70,7 @@ TEST(Numbers, NonFiniteDoublesSerialiseAsNull) {
   event.name = "n";
   event.fields = {{"inf", Value(std::numeric_limits<double>::infinity())}};
   const std::vector<Field> fields = round_trip(event);
-  EXPECT_EQ(find(fields, "inf")->kind(), Value::Kind::kNull);
+  EXPECT_EQ(find_field(fields, "inf")->kind(), Value::Kind::kNull);
 }
 
 TEST(Parser, RejectsMalformedLines) {
@@ -97,7 +90,7 @@ TEST(Parser, AcceptsWhitespaceAndUnicodeEscapes) {
   const auto fields =
       parse_flat_json_object("{ \"event\" : \"x\" , \"s\" : \"\\u00e9\" }");
   ASSERT_TRUE(fields.has_value());
-  EXPECT_EQ(find(*fields, "s")->as_string(), "\xc3\xa9");
+  EXPECT_EQ(find_field(*fields, "s")->as_string(), "\xc3\xa9");
 }
 
 TEST(Sink, WritesOneParseableLinePerEvent) {
@@ -115,7 +108,7 @@ TEST(Sink, WritesOneParseableLinePerEvent) {
   while (std::getline(in, line)) {
     const auto fields = parse_flat_json_object(line);
     ASSERT_TRUE(fields.has_value()) << line;
-    names.push_back(find(*fields, "event")->as_string());
+    names.push_back(find_field(*fields, "event")->as_string());
   }
   EXPECT_EQ(names, (std::vector<std::string>{"first", "second"}));
 }
@@ -162,7 +155,7 @@ TEST(Sink, AppendModeHealsMissingTrailingNewline) {
   EXPECT_FALSE(parse_flat_json_object(lines[0]).has_value());
   const auto fields = parse_flat_json_object(lines[1]);
   ASSERT_TRUE(fields.has_value()) << lines[1];
-  EXPECT_EQ(find(*fields, "event")->as_string(), "after_crash");
+  EXPECT_EQ(find_field(*fields, "event")->as_string(), "after_crash");
   std::filesystem::remove(path);
 }
 

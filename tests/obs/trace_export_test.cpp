@@ -1,5 +1,6 @@
-// Merged Chrome-trace export: torn-line-tolerant stream parsing, HELLO
-// clock-offset recovery, and the render pass -- span X events with the
+// Merged Chrome-trace export: stream assembly from a campaign's log set
+// (pids, HELLO clock offsets, the postmortem flight-ring fold-in), and the
+// render pass -- span X events with the
 // cross-process parent chain in args, synthesized run/batch spans parented
 // by lease containment, counter tracks, instants and metadata rows.
 #include "obs/trace_export.hpp"
@@ -7,9 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/flight.hpp"
 
 namespace propane::obs {
 namespace {
@@ -19,19 +26,6 @@ std::vector<Field> event_row(std::string name,
   std::vector<Field> row = {{"event", Value(std::move(name))}};
   for (Field& field : extra) row.push_back(std::move(field));
   return row;
-}
-
-TEST(ParseNdjsonStream, CountsTornLinesInsteadOfFailing) {
-  std::istringstream in(
-      "{\"event\":\"a\",\"t_us\":1}\n"
-      "\n"
-      "{\"event\":\"b\",\"t_us\":2}\n"
-      "{\"event\":\"torn\",\"t_us\":3");  // killed writer: no closing brace
-  std::vector<std::vector<Field>> rows;
-  EXPECT_EQ(parse_ndjson_stream(in, rows), 1u);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][0].value.as_string(), "a");
-  EXPECT_EQ(rows[1][0].value.as_string(), "b");
 }
 
 TEST(HelloClockOffsets, DatesWorkerClocksAgainstTheDispatcher) {
@@ -226,6 +220,117 @@ TEST(WriteChromeTrace, EmitsCounterTracksAndInstants) {
   EXPECT_GE(summary.counter_samples, 6u);
   EXPECT_EQ(summary.spans, 0u);
   EXPECT_EQ(summary.synthesized, 0u);
+}
+
+class AssembleTraceStreams : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           ("propane-trace-streams-" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  void write(const std::string& name, const std::string& text) const {
+    std::ofstream(dir_ / name) << text;
+  }
+
+  std::filesystem::path dir_;
+};
+
+std::string line(const std::string& event, std::uint64_t t_us) {
+  return "{\"event\":\"" + event + "\",\"t_us\":" + std::to_string(t_us) +
+         "}";
+}
+
+TEST_F(AssembleTraceStreams, AnchorsPidsAndClockOffsetsOnTheDispatcher) {
+  write("telemetry.ndjson",
+        "{\"event\":\"serve.worker.spawn\",\"t_us\":10,\"worker_id\":0,"
+        "\"pid\":500}\n"
+        "{\"event\":\"serve.worker.hello\",\"t_us\":5000,\"worker_id\":0,"
+        "\"worker_steady_us\":40}\n"
+        "{\"event\":\"serve.done\",\"t_us\":9000,\"pid\":77}\n");
+  write("telemetry-w0.ndjson", line("worker.start", 1) + "\n");
+  write("telemetry-w3.ndjson",
+        line("worker.start", 2) + "\n{\"event\":\"torn\"");
+  const TraceStreamSet set =
+      assemble_trace_streams(find_campaign_logs(dir_), false);
+  ASSERT_EQ(set.streams.size(), 3u);
+  EXPECT_EQ(set.streams[0].name, "dispatcher");
+  EXPECT_EQ(set.streams[0].pid, 77);
+  EXPECT_EQ(set.streams[0].events.size(), 3u);
+  EXPECT_EQ(set.streams[1].name, "w0");
+  EXPECT_EQ(set.streams[1].pid, 500);
+  EXPECT_EQ(set.streams[1].clock_offset_us, 4960);
+  EXPECT_EQ(set.streams[2].name, "w3");
+  EXPECT_EQ(set.streams[2].pid, 1003);  // never spawned: 1000 + id
+  EXPECT_EQ(set.streams[2].clock_offset_us, 0);
+  EXPECT_EQ(set.torn_lines, 1u);
+  EXPECT_EQ(set.crashed, 0u);
+  EXPECT_TRUE(set.postmortem.empty());
+}
+
+TEST_F(AssembleTraceStreams, PostmortemFoldsInOnlyLinesMissingFromTheLog) {
+  // Worker 0 died: its NDJSON log holds the first two events, its flight
+  // ring all four. Worker 5 left only a (clean) ring.
+  write("telemetry-w0.ndjson",
+        line("worker.a", 10) + "\n" + line("worker.b", 20) + "\n");
+  {
+    FlightRecorder ring(dir_ / flight_ring_name(0), 0);
+    for (const auto& [event, t_us] :
+         {std::pair<const char*, std::uint64_t>{"worker.a", 10},
+          {"worker.b", 20}, {"worker.c", 40}, {"worker.d", 30}}) {
+      ring.record_line(line(event, t_us));
+    }
+  }
+  {
+    FlightRecorder ring(dir_ / flight_ring_name(5), 5);
+    ring.record_line(line("worker.e", 7));
+    ring.mark_clean_exit();
+  }
+  const CampaignLogSet logs = find_campaign_logs(dir_);
+
+  const TraceStreamSet plain = assemble_trace_streams(logs, false);
+  EXPECT_EQ(plain.crashed, 1u);
+  ASSERT_EQ(plain.streams.size(), 1u);
+  EXPECT_EQ(plain.streams[0].events.size(), 2u);
+
+  const TraceStreamSet set = assemble_trace_streams(logs, true);
+  EXPECT_EQ(set.crashed, 1u);
+  ASSERT_EQ(set.postmortem.size(), 2u);
+  EXPECT_EQ(set.postmortem[0].worker_id, 0u);
+  EXPECT_FALSE(set.postmortem[0].clean_exit);
+  EXPECT_EQ(set.postmortem[0].ring_events, 4u);
+  EXPECT_EQ(set.postmortem[0].recovered, 2u);
+  EXPECT_EQ(set.postmortem[1].worker_id, 5u);
+  EXPECT_TRUE(set.postmortem[1].clean_exit);
+  EXPECT_EQ(set.postmortem[1].recovered, 1u);
+
+  ASSERT_EQ(set.streams.size(), 2u);
+  const std::vector<std::vector<Field>>& w0 = set.streams[0].events;
+  ASSERT_EQ(w0.size(), 5u);  // 2 logged + 2 recovered + flight.recovered
+  EXPECT_EQ(w0[2][0].value.as_string(), "worker.c");
+  EXPECT_EQ(w0[3][0].value.as_string(), "worker.d");
+  EXPECT_EQ(w0[4][0].value.as_string(), "flight.recovered");
+  EXPECT_EQ(w0[4][1].value.as_uint(), 40u);  // t_us: the latest recovered
+  std::size_t markers = 0;
+  for (const auto& event : w0) {
+    if (event[0].value.as_string() == "flight.recovered") ++markers;
+  }
+  EXPECT_EQ(markers, 1u);
+  // A worker with only a ring gets a stream of its own.
+  EXPECT_EQ(set.streams[1].name, "w5");
+  EXPECT_EQ(set.streams[1].events.size(), 2u);
+}
+
+TEST_F(AssembleTraceStreams, CorruptLogIsAnError) {
+  write("telemetry.ndjson", "{\"event\":\"a\",\"t_us\":}\n");
+  EXPECT_THROW(assemble_trace_streams(find_campaign_logs(dir_), false),
+               std::runtime_error);
 }
 
 }  // namespace

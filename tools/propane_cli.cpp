@@ -31,14 +31,10 @@
 // <journal>/telemetry.ndjson by default (--metrics-out redirects,
 // --no-telemetry disables) and shows a live progress HUD on a TTY
 // (--progress forces it on, --no-progress off). `campaign top` summarises
-// the event log(s) -- the dispatcher's plus every worker's
-// telemetry-w<id>.ndjson: per-event counts, injection and divergence
-// counts and measured batch latencies (from the per-batch events), the
-// journal size (from the shard files), the final metric values and a
-// per-stream breakdown. `campaign trace` merges the same streams (clocks
-// aligned via the HELLO handshake) into one Chrome/Perfetto trace-event
-// JSON; --postmortem additionally recovers the tail events a SIGKILLed
-// worker left in its flight-w<id>.bin ring.
+// the journal's event logs (the dispatcher's and every worker's) and
+// `campaign trace` merges them into one Chrome/Perfetto trace-event JSON;
+// --postmortem adds the events SIGKILLed workers left in their flight
+// rings. src/obs/campaign_log.hpp owns that log set.
 //
 // The model file uses the text format of core/model_parser.hpp; the
 // optional CSV supplies permeabilities (core/permeability_io.hpp). Without
@@ -50,9 +46,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -68,12 +62,8 @@
 #include "exp/report/bootstrap_report.hpp"
 #include "fi/bootstrap.hpp"
 #include "fi/campaign.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/ndjson.hpp"
+#include "obs/campaign_log.hpp"
 #include "obs/progress.hpp"
-#include "obs/span.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
 #include "store/result_cache.hpp"
 #include "store/resume.hpp"
@@ -358,40 +348,20 @@ void print_batch_occupancy(std::uint64_t batches, double lanes) {
       lanes, static_cast<unsigned long long>(batches), width);
 }
 
-// Defined with the telemetry helpers below (campaign top section).
-void print_batch_occupancy_from_telemetry(const CampaignArgs& args);
-
-std::filesystem::path telemetry_path(const CampaignArgs& args) {
-  return args.metrics_out.empty()
-             ? args.journal / "telemetry.ndjson"
-             : std::filesystem::path(args.metrics_out);
+/// The telemetry log a campaign subcommand writes: --metrics-out and
+/// --no-telemetry mapped onto the log writer's options.
+obs::CampaignLogOptions log_options(
+    const CampaignArgs& args,
+    std::optional<std::uint32_t> worker_id = std::nullopt) {
+  return {args.journal, args.metrics_out, !args.no_telemetry, worker_id};
 }
 
-/// Appends the final value of every metric to the event log, one flat
-/// "metric" event each, so `campaign top` can show end-of-session values
-/// without re-deriving them from the raw event stream.
-void emit_metric_events(obs::EventSink& sink,
-                        const obs::MetricsSnapshot& snapshot) {
-  for (const auto& [name, value] : snapshot.counters) {
-    sink.emit(obs::make_event("metric", {{"kind", obs::Value("counter")},
-                                         {"name", obs::Value(name)},
-                                         {"value", obs::Value(value)}}));
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    sink.emit(obs::make_event("metric", {{"kind", obs::Value("gauge")},
-                                         {"name", obs::Value(name)},
-                                         {"value", obs::Value(value)}}));
-  }
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    sink.emit(obs::make_event(
-        "metric", {{"kind", obs::Value("histogram")},
-                   {"name", obs::Value(name)},
-                   {"count", obs::Value(histogram.count)},
-                   {"sum", obs::Value(histogram.sum)},
-                   {"p50", obs::Value(histogram.quantile(0.50))},
-                   {"p90", obs::Value(histogram.quantile(0.90))},
-                   {"p99", obs::Value(histogram.quantile(0.99))}}));
-  }
+/// Closes an enabled log and says where its events went.
+void print_log_closed(obs::CampaignLogWriter& log) {
+  if (log.telemetry() == nullptr) return;
+  const std::size_t events = log.close();
+  std::printf("telemetry: %zu event(s) appended to %s\n", events,
+              log.path().string().c_str());
 }
 
 /// `campaign run|resume` and `campaign delta` share this body: a plain run
@@ -453,20 +423,7 @@ int cmd_campaign_execute(const CampaignArgs& args, bool delta_mode) {
   // so resumed sessions concatenate into one log and `campaign top` works
   // without extra flags. Observation-only: results are bit-identical with
   // --no-telemetry.
-  obs::MetricsRegistry metrics;
-  obs::SpanBuffer spans;
-  std::optional<obs::NdjsonSink> sink;
-  obs::Telemetry telemetry;
-  if (!args.no_telemetry) {
-    const std::filesystem::path events_path = telemetry_path(args);
-    if (!events_path.parent_path().empty()) {
-      std::filesystem::create_directories(events_path.parent_path());
-    }
-    sink.emplace(events_path, /*append=*/true);
-    telemetry.metrics = &metrics;
-    telemetry.events = &*sink;
-    telemetry.spans = &spans;
-  }
+  obs::CampaignLogWriter log(log_options(args));
   obs::ProgressReporter::Options hud_options;
   hud_options.force = args.progress == 1;
   std::optional<obs::ProgressReporter> hud;
@@ -476,7 +433,7 @@ int cmd_campaign_execute(const CampaignArgs& args, bool delta_mode) {
   options.base.shard_count = args.shards;
   options.base.process_count = args.processes;
   options.base.process_index = args.index;
-  options.base.telemetry = telemetry.enabled() ? &telemetry : nullptr;
+  options.base.telemetry = log.telemetry();
   options.base.progress = hud.has_value() ? &*hud : nullptr;
   options.module_versions = versions;
   const store::DeltaJournalSummary summary =
@@ -518,13 +475,7 @@ int cmd_campaign_execute(const CampaignArgs& args, bool delta_mode) {
     }
     std::puts(table.render().c_str());
   }
-  if (sink.has_value()) {
-    obs::publish_span_stats(&telemetry);
-    emit_metric_events(*sink, metrics.snapshot());
-    sink->flush();
-    std::printf("telemetry: %zu event(s) appended to %s\n",
-                sink->event_count(), telemetry_path(args).string().c_str());
-  }
+  print_log_closed(log);
   return 0;
 }
 
@@ -544,20 +495,7 @@ int cmd_campaign_serve(const CampaignArgs& args, const char* argv0) {
   const SystemModel model = arr::make_arrestment_model();
   const fi::SignalBinding binding = arr::make_arrestment_binding(model);
 
-  obs::MetricsRegistry metrics;
-  obs::SpanBuffer spans;
-  std::optional<obs::NdjsonSink> sink;
-  obs::Telemetry telemetry;
-  if (!args.no_telemetry) {
-    const std::filesystem::path events_path = telemetry_path(args);
-    if (!events_path.parent_path().empty()) {
-      std::filesystem::create_directories(events_path.parent_path());
-    }
-    sink.emplace(events_path, /*append=*/true);
-    telemetry.metrics = &metrics;
-    telemetry.events = &*sink;
-    telemetry.spans = &spans;
-  }
+  obs::CampaignLogWriter log(log_options(args));
 
   svc::ServeOptions options;
   options.worker_count = args.workers;
@@ -575,7 +513,7 @@ int cmd_campaign_serve(const CampaignArgs& args, const char* argv0) {
                             "--shards",
                             std::to_string(args.shards)};
   if (args.no_telemetry) options.worker_command.push_back("--no-telemetry");
-  options.telemetry = telemetry.enabled() ? &telemetry : nullptr;
+  options.telemetry = log.telemetry();
   options.model = &model;
   options.binding = &binding;
   options.bus_signal_count = binding.bus_upper_bound();
@@ -602,13 +540,7 @@ int cmd_campaign_serve(const CampaignArgs& args, const char* argv0) {
                 summary.total_runs);
   }
   std::printf("lease log: %s\n", summary.lease_log_path.string().c_str());
-  if (sink.has_value()) {
-    obs::publish_span_stats(&telemetry);
-    emit_metric_events(*sink, metrics.snapshot());
-    sink->flush();
-    std::printf("telemetry: %zu event(s) appended to %s\n",
-                sink->event_count(), telemetry_path(args).string().c_str());
-  }
+  print_log_closed(log);
   if (summary.workers_died > 0 && !args.no_telemetry) {
     std::printf(
         "worker death(s) detected -- `propane campaign trace --journal %s "
@@ -629,62 +561,22 @@ int cmd_campaign_worker(const CampaignArgs& args) {
           ? arr::grid_test_cases(scale.mass_count, scale.velocity_count)
           : scale.custom_cases;
 
-  obs::MetricsRegistry metrics;
-  obs::SpanBuffer spans;
-  std::optional<obs::NdjsonSink> sink;
-  std::optional<obs::FlightRecorder> flight;
-  std::optional<obs::FlightSink> flight_sink;
-  std::optional<obs::TeeSink> tee;
-  obs::Telemetry telemetry;
-  if (!args.no_telemetry) {
-    // One event log per worker: concurrent appends from several processes
-    // into one NDJSON file could interleave mid-line, and `campaign top`
-    // treats a malformed mid-file line as a hard error.
-    const std::filesystem::path events_path =
-        args.metrics_out.empty()
-            ? args.journal / ("telemetry-w" + std::to_string(args.worker_id) +
-                              ".ndjson")
-            : std::filesystem::path(args.metrics_out);
-    if (!events_path.parent_path().empty()) {
-      std::filesystem::create_directories(events_path.parent_path());
-    }
-    sink.emplace(events_path, /*append=*/true);
-    // Every event also lands in the mmap'd flight ring, which survives
-    // SIGKILL where the buffered ofstream tail does not; `campaign trace
-    // --postmortem` merges it back.
-    std::filesystem::create_directories(args.journal);
-    flight.emplace(args.journal /
-                       ("flight-w" + std::to_string(args.worker_id) + ".bin"),
-                   args.worker_id);
-    flight_sink.emplace(*flight);
-    tee.emplace(&*sink, &*flight_sink);
-    // Disjoint span-id range per process: worker w draws from
-    // (w+1) << 40, the dispatcher from 0, so ids never collide in the
-    // merged trace.
-    spans.set_id_base((static_cast<std::uint64_t>(args.worker_id) + 1)
-                      << 40);
-    telemetry.metrics = &metrics;
-    telemetry.events = &*tee;
-    telemetry.spans = &spans;
-  }
+  // One event log per worker (concurrent appenders would tear lines),
+  // teed into the worker's crash flight ring.
+  obs::CampaignLogWriter log(log_options(args, args.worker_id));
 
   svc::WorkerConfig worker;
   worker.worker_id = args.worker_id;
   worker.journal_dir = args.journal;
   worker.journal.shard_count = args.shards;
-  worker.journal.telemetry = telemetry.enabled() ? &telemetry : nullptr;
+  worker.journal.telemetry = log.telemetry();
 
   svc::WorkerSummary summary;
   const int code = svc::run_worker_loop(
       arr::batched_campaign_runner(cases, config, scale.duration, nullptr,
                                    nullptr, worker.journal.telemetry),
       config, worker, std::cin, std::cout, &summary);
-  if (sink.has_value()) {
-    obs::publish_span_stats(&telemetry);
-    emit_metric_events(*sink, metrics.snapshot());
-    sink->flush();
-  }
-  if (flight.has_value() && code == 0) flight->mark_clean_exit();
+  log.close(/*clean_exit=*/code == 0);
   std::fprintf(stderr,
                "propane worker %u: %llu lease(s), %llu executed, "
                "%llu diverged, exit %d\n",
@@ -735,7 +627,15 @@ int cmd_campaign_stats(const CampaignArgs& args) {
               stats.replayed_count, stats.duplicate_count);
   std::puts("Estimated permeabilities (Table 1 style):");
   std::puts(exp::table1_permeability(model, stats.estimation).render().c_str());
-  print_batch_occupancy_from_telemetry(args);
+  // Telemetry only enriches stats: an unreadable log costs the occupancy
+  // line, with a warning, not the estimate.
+  try {
+    const obs::CampaignLogSummary logs = obs::summarize_campaign_logs(
+        obs::find_campaign_logs(args.journal, args.metrics_out).logs);
+    print_batch_occupancy(logs.lane_batches, logs.lanes);
+  } catch (const std::exception& err) {
+    print_warnings({std::string(err.what()) + " (batch occupancy omitted)"});
+  }
   if (!args.csv_path.empty()) {
     std::printf("permeability CSV written to %s\n", args.csv_path.c_str());
   }
@@ -777,20 +677,7 @@ int cmd_campaign_bootstrap(const CampaignArgs& args) {
   // Same telemetry arrangement as every other campaign subcommand: append
   // to <journal>/telemetry.ndjson unless told otherwise. Observation-only;
   // the artifacts are bit-identical with --no-telemetry.
-  obs::MetricsRegistry metrics;
-  obs::SpanBuffer spans;
-  std::optional<obs::NdjsonSink> sink;
-  obs::Telemetry telemetry;
-  if (!args.no_telemetry) {
-    const std::filesystem::path events_path = telemetry_path(args);
-    if (!events_path.parent_path().empty()) {
-      std::filesystem::create_directories(events_path.parent_path());
-    }
-    sink.emplace(events_path, /*append=*/true);
-    telemetry.metrics = &metrics;
-    telemetry.events = &*sink;
-    telemetry.spans = &spans;
-  }
+  obs::CampaignLogWriter log(log_options(args));
 
   // Stream the journal once; the resampler's bus width comes from the
   // first record's report, as in store::estimate_from_journal.
@@ -828,7 +715,7 @@ int cmd_campaign_bootstrap(const CampaignArgs& args) {
     options.run_fractions = parse_fractions(args.fractions);
   }
   const fi::BootstrapResult result =
-      resampler->run(options, telemetry.enabled() ? &telemetry : nullptr);
+      resampler->run(options, log.telemetry());
 
   std::printf("bootstrap: %zu replicate(s), seed %llu, top-k %zu, "
               "%zu convergence point(s)\n",
@@ -907,359 +794,103 @@ int cmd_campaign_bootstrap(const CampaignArgs& args) {
   std::printf("bootstrap summary: %.2fs wall, %.0f replicate(s)/s\n",
               result.wall_seconds, replicates_per_s);
 
-  if (sink.has_value()) {
-    obs::publish_span_stats(&telemetry);
-    emit_metric_events(*sink, metrics.snapshot());
-    sink->flush();
-    std::printf("telemetry: %zu event(s) appended to %s\n",
-                sink->event_count(), telemetry_path(args).string().c_str());
-  }
+  print_log_closed(log);
   return 0;
 }
 
-// --- propane campaign top ------------------------------------------------
+// --- propane campaign top / trace --------------------------------------
 
-const obs::Value* find_field(const std::vector<obs::Field>& fields,
-                             std::string_view key) {
-  for (const obs::Field& field : fields) {
-    if (field.key == key) return &field.value;
+/// The journal's telemetry logs; prints the error and returns nullopt when
+/// there are none.
+std::optional<obs::CampaignLogSet> find_logs_or_complain(
+    const CampaignArgs& args, const char* why) {
+  obs::CampaignLogSet set =
+      obs::find_campaign_logs(args.journal, args.metrics_out);
+  if (set.logs.empty()) {
+    std::fprintf(stderr, "propane: no telemetry log at '%s'%s\n",
+                 obs::campaign_log_path(log_options(args)).string().c_str(),
+                 why);
+    return std::nullopt;
   }
-  return nullptr;
+  return set;
 }
-
-std::string render_value(const obs::Value& value) {
-  char buffer[64];
-  switch (value.kind()) {
-    case obs::Value::Kind::kNull:
-      return "null";
-    case obs::Value::Kind::kBool:
-      return value.as_bool() ? "true" : "false";
-    case obs::Value::Kind::kInt:
-      std::snprintf(buffer, sizeof(buffer), "%lld",
-                    static_cast<long long>(value.as_int()));
-      return buffer;
-    case obs::Value::Kind::kUint:
-      std::snprintf(buffer, sizeof(buffer), "%llu",
-                    static_cast<unsigned long long>(value.as_uint()));
-      return buffer;
-    case obs::Value::Kind::kDouble:
-      std::snprintf(buffer, sizeof(buffer), "%g", value.as_double());
-      return buffer;
-    case obs::Value::Kind::kString:
-      return value.as_string();
-  }
-  return "?";
-}
-
-/// The telemetry streams of a journal, label -> path: the
-/// dispatcher/single-process log first, then every worker's
-/// telemetry-w<id>.ndjson in id order. --metrics-out narrows the set to
-/// that one file.
-std::vector<std::pair<std::string, std::filesystem::path>> telemetry_streams(
-    const CampaignArgs& args) {
-  std::vector<std::pair<std::string, std::filesystem::path>> streams;
-  if (!args.metrics_out.empty()) {
-    streams.emplace_back("dispatcher", std::filesystem::path(args.metrics_out));
-    return streams;
-  }
-  const std::filesystem::path main_path = args.journal / "telemetry.ndjson";
-  if (std::filesystem::exists(main_path)) {
-    streams.emplace_back("dispatcher", main_path);
-  }
-  std::map<unsigned long, std::filesystem::path> workers;
-  std::error_code ec;
-  for (std::filesystem::directory_iterator
-           it(args.journal, ec),
-       end;
-       !ec && it != end; ++it) {
-    const std::string name = it->path().filename().string();
-    constexpr std::string_view kPrefix = "telemetry-w";
-    constexpr std::string_view kSuffix = ".ndjson";
-    if (name.size() <= kPrefix.size() + kSuffix.size() ||
-        name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const std::string id_text = name.substr(
-        kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-    char* tail = nullptr;
-    const unsigned long id = std::strtoul(id_text.c_str(), &tail, 10);
-    if (tail != nullptr && *tail == '\0' && !id_text.empty()) {
-      workers[id] = it->path();
-    }
-  }
-  for (const auto& [id, path] : workers) {
-    streams.emplace_back("w" + std::to_string(id), path);
-  }
-  return streams;
-}
-
-/// Best-effort scan of the journal's telemetry stream(s) for final
-/// batch.group.lanes histogram metrics (one per batched session per
-/// stream; sessions and workers sum), feeding print_batch_occupancy.
-/// Telemetry is an enrichment for `campaign stats`, so missing files and
-/// malformed lines are silently skipped here -- `campaign top` is the
-/// strict NDJSON validator.
-void print_batch_occupancy_from_telemetry(const CampaignArgs& args) {
-  std::uint64_t batches = 0;
-  double lanes = 0.0;
-  for (const auto& [label, path] : telemetry_streams(args)) {
-    std::ifstream in(path);
-    if (!in) continue;
-    for (std::string line; std::getline(in, line);) {
-      const auto fields = obs::parse_flat_json_object(line);
-      if (!fields.has_value()) continue;
-      const obs::Value* event = find_field(*fields, "event");
-      if (event == nullptr || event->kind() != obs::Value::Kind::kString ||
-          event->as_string() != "metric") {
-        continue;
-      }
-      const obs::Value* name = find_field(*fields, "name");
-      if (name == nullptr || name->kind() != obs::Value::Kind::kString ||
-          name->as_string() != "batch.group.lanes") {
-        continue;
-      }
-      const obs::Value* count = find_field(*fields, "count");
-      const obs::Value* sum = find_field(*fields, "sum");
-      if (count != nullptr && count->is_number() && sum != nullptr &&
-          sum->is_number()) {
-        batches += count->as_uint();
-        lanes += sum->as_double();
-      }
-    }
-  }
-  print_batch_occupancy(batches, lanes);
-}
-
-/// Per-stream tallies for the `campaign top` breakdown table. Injection
-/// and diverged counts add up the campaign.batch.done events' settled and
-/// diverged fields: telemetry accounts per batch, not per run.
-struct StreamTally {
-  std::string label;
-  std::size_t events = 0;
-  std::size_t batches = 0;
-  std::size_t injections = 0;
-  std::size_t diverged = 0;
-  std::size_t torn = 0;
-  double span_s = 0.0;
-};
 
 /// Summarises the campaign telemetry logs -- the dispatcher's plus every
 /// worker's. Doubles as an NDJSON validity check: any malformed line other
-/// than a torn final one (the residue of a live or killed writer) is a
-/// hard error.
+/// than crash residue is a hard error (obs::read_campaign_log).
 int cmd_campaign_top(const CampaignArgs& args) {
-  const auto streams = telemetry_streams(args);
-  if (streams.empty()) {
-    std::fprintf(stderr,
-                 "propane: no telemetry log at '%s' (campaign run writes it; "
-                 "--metrics-out overrides the location)\n",
-                 telemetry_path(args).string().c_str());
-    return 1;
-  }
+  const auto set = find_logs_or_complain(
+      args, " (campaign run writes it; --metrics-out overrides the location)");
+  if (!set.has_value()) return 1;
+  const obs::CampaignLogSummary summary =
+      obs::summarize_campaign_logs(set->logs);
+  const obs::LogTally& total = summary.total;
 
-  std::map<std::string, std::size_t> event_counts;
-  std::size_t batches = 0, injections = 0, injections_diverged = 0;
-  double batch_dur_sum_us = 0.0, batch_dur_max_us = 0.0;
-  std::vector<obs::Field> last_done;   // most recent campaign.done
-  std::map<std::string, std::string> final_metrics;  // last metric events
-  std::uint64_t batch_groups = 0;      // batch.group.lanes totals, summed
-  double batch_lanes = 0.0;            // across sessions and workers
-  std::size_t torn_lines = 0;
-  std::vector<StreamTally> tallies;
-
-  for (const auto& [label, path] : streams) {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "propane: cannot open telemetry log '%s'\n",
-                   path.string().c_str());
-      return 1;
-    }
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);) {
-      if (!line.empty()) lines.push_back(std::move(line));
-    }
-
-    StreamTally tally;
-    tally.label = label;
-    std::uint64_t t_first = 0, t_last = 0;
-    bool any_time = false;
-
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const auto fields = obs::parse_flat_json_object(lines[i]);
-      if (!fields.has_value()) {
-        if (i + 1 == lines.size()) {
-          // The writer died (or is still running) mid-line: expected
-          // residue, same stance the journal reader takes on a torn tail
-          // frame.
-          ++torn_lines;
-          ++tally.torn;
-          break;
-        }
-        // A session killed mid-line leaves its residue where the next
-        // session's first event (always journal.resume_scan) follows; that
-        // is crash residue too, not corruption.
-        const auto next = obs::parse_flat_json_object(lines[i + 1]);
-        const obs::Value* next_event =
-            next.has_value() ? find_field(*next, "event") : nullptr;
-        if (next_event != nullptr &&
-            next_event->kind() == obs::Value::Kind::kString &&
-            next_event->as_string() == "journal.resume_scan") {
-          ++torn_lines;
-          ++tally.torn;
-          continue;
-        }
-        std::fprintf(stderr,
-                     "propane: malformed telemetry line %zu in %s: %s\n",
-                     i + 1, path.string().c_str(), lines[i].c_str());
-        return 1;
-      }
-      const obs::Value* name = find_field(*fields, "event");
-      const obs::Value* t_us = find_field(*fields, "t_us");
-      if (name == nullptr || name->kind() != obs::Value::Kind::kString) {
-        std::fprintf(stderr,
-                     "propane: telemetry line %zu in %s has no event name\n",
-                     i + 1, path.string().c_str());
-        return 1;
-      }
-      const std::string& event = name->as_string();
-      ++event_counts[event];
-      ++tally.events;
-      if (t_us != nullptr && t_us->is_number()) {
-        if (!any_time) {
-          t_first = t_us->as_uint();
-          any_time = true;
-        }
-        t_last = t_us->as_uint();
-        t_first = std::min(t_first, t_us->as_uint());
-      }
-      if (event == "campaign.batch.done") {
-        const auto count = [&fields](const char* key) -> std::size_t {
-          const obs::Value* v = find_field(*fields, key);
-          return v != nullptr && v->is_number() ? v->as_uint() : 0;
-        };
-        ++batches;
-        ++tally.batches;
-        injections += count("settled");
-        tally.injections += count("settled");
-        injections_diverged += count("diverged");
-        tally.diverged += count("diverged");
-        if (const obs::Value* dur = find_field(*fields, "dur_us");
-            dur != nullptr && dur->is_number()) {
-          batch_dur_sum_us += dur->as_double();
-          batch_dur_max_us = std::max(batch_dur_max_us, dur->as_double());
-        }
-      } else if (event == "campaign.done" || event == "delta.done") {
-        // delta.done carries replayed-vs-executed counts; whichever kind of
-        // session ran last wins the "last session" line.
-        last_done = *fields;
-      } else if (event == "metric") {
-        const obs::Value* metric = find_field(*fields, "name");
-        if (metric != nullptr &&
-            metric->kind() == obs::Value::Kind::kString) {
-          const obs::Value* kind = find_field(*fields, "kind");
-          if (kind != nullptr && kind->kind() == obs::Value::Kind::kString &&
-              kind->as_string() == "histogram") {
-            std::string cell;
-            for (const char* key : {"count", "p50", "p90", "p99"}) {
-              const obs::Value* v = find_field(*fields, key);
-              if (v == nullptr) continue;
-              if (!cell.empty()) cell += ", ";
-              cell += std::string(key) + "=" + render_value(*v);
-            }
-            final_metrics[metric->as_string()] = cell;
-            if (metric->as_string() == "batch.group.lanes") {
-              const obs::Value* count = find_field(*fields, "count");
-              const obs::Value* sum = find_field(*fields, "sum");
-              if (count != nullptr && count->is_number() && sum != nullptr &&
-                  sum->is_number()) {
-                batch_groups += count->as_uint();
-                batch_lanes += sum->as_double();
-              }
-            }
-          } else if (const obs::Value* v = find_field(*fields, "value")) {
-            final_metrics[metric->as_string()] = render_value(*v);
-          }
-        }
-      }
-    }
-    tally.span_s = static_cast<double>(t_last - t_first) / 1e6;
-    tallies.push_back(std::move(tally));
-  }
-
-  std::size_t total_events = 0;
-  for (const auto& [_, count] : event_counts) total_events += count;
-  double span_s = 0.0;
-  for (const StreamTally& tally : tallies) {
-    span_s = std::max(span_s, tally.span_s);
-  }
   std::string torn_note;
-  if (torn_lines > 0) {
-    torn_note = " (" + std::to_string(torn_lines) + " torn line(s) skipped)";
+  if (total.torn > 0) {
+    torn_note = " (" + std::to_string(total.torn) + " torn line(s) skipped)";
   }
   std::printf("telemetry %s: %zu event(s) across %zu stream(s), %.2fs%s\n",
-              args.journal.string().c_str(), total_events, streams.size(),
-              span_s, torn_note.c_str());
+              args.journal.string().c_str(), total.events, set->logs.size(),
+              total.span_s, torn_note.c_str());
 
   TextTable events_table({"Event", "Count"});
-  for (const auto& [event, count] : event_counts) {
+  for (const auto& [event, count] : summary.event_counts) {
     events_table.add_row({event, std::to_string(count)});
   }
   std::puts(events_table.render().c_str());
 
-  if (tallies.size() > 1) {
+  if (summary.streams.size() > 1) {
     TextTable streams_table(
         {"Stream", "Events", "Batches", "Injections", "Diverged", "Span s"});
-    for (const StreamTally& tally : tallies) {
-      char span_cell[32];
-      std::snprintf(span_cell, sizeof(span_cell), "%.2f", tally.span_s);
+    for (const obs::LogTally& tally : summary.streams) {
       streams_table.add_row({tally.label, std::to_string(tally.events),
                              std::to_string(tally.batches),
                              std::to_string(tally.injections),
-                             std::to_string(tally.diverged), span_cell});
+                             std::to_string(tally.diverged),
+                             format_double(tally.span_s, 2)});
     }
     std::puts(streams_table.render().c_str());
   }
 
-  if (injections > 0) {
-    std::printf("injections: %zu done, %zu diverged (%.1f%%)\n", injections,
-                injections_diverged,
-                100.0 * static_cast<double>(injections_diverged) /
-                    static_cast<double>(injections));
+  if (total.injections > 0) {
+    std::printf("injections: %zu done, %zu diverged (%.1f%%)\n",
+                total.injections, total.diverged,
+                100.0 * static_cast<double>(total.diverged) /
+                    static_cast<double>(total.injections));
   }
-  if (batches > 0) {
+  if (total.batches > 0) {
     // Measured per batch: a batch's wall time is not divided among its
     // lanes.
-    std::printf("batches: %zu, mean %.1f ms, max %.1f ms\n", batches,
-                batch_dur_sum_us / static_cast<double>(batches) / 1e3,
-                batch_dur_max_us / 1e3);
+    std::printf("batches: %zu, mean %.1f ms, max %.1f ms\n", total.batches,
+                total.batch_dur_sum_us / static_cast<double>(total.batches) /
+                    1e3,
+                total.batch_dur_max_us / 1e3);
   }
   // Journal size from the shard files themselves.
   const std::vector<std::filesystem::path> shards =
       store::ShardedJournalWriter::list_shards(args.journal);
   if (!shards.empty()) {
-    std::uint64_t total = 0;
+    std::uint64_t bytes = 0;
     for (const std::filesystem::path& shard : shards) {
       std::error_code ec;
-      const std::uintmax_t bytes = std::filesystem::file_size(shard, ec);
-      if (!ec) total += bytes;
+      const std::uintmax_t size = std::filesystem::file_size(shard, ec);
+      if (!ec) bytes += size;
     }
     std::printf("journal: %llu bytes across %zu shard(s)\n",
-                static_cast<unsigned long long>(total), shards.size());
+                static_cast<unsigned long long>(bytes), shards.size());
   }
-  print_batch_occupancy(batch_groups, batch_lanes);
-  if (!last_done.empty()) {
+  print_batch_occupancy(summary.lane_batches, summary.lanes);
+  if (!summary.last_session.empty()) {
     std::string line = "last session:";
-    for (const obs::Field& field : last_done) {
-      if (field.key == "event" || field.key == "t_us") continue;
-      line += " " + field.key + "=" + render_value(field.value);
+    for (const obs::Field& field : summary.last_session) {
+      line += " " + field.key + "=" + obs::to_text(field.value);
     }
     std::puts(line.c_str());
   }
-  if (!final_metrics.empty()) {
+  if (!summary.final_metrics.empty()) {
     TextTable metrics_table({"Metric", "Value"});
-    for (const auto& [metric, value] : final_metrics) {
+    for (const auto& [metric, value] : summary.final_metrics) {
       metrics_table.add_row({metric, value});
     }
     std::puts(metrics_table.render().c_str());
@@ -1267,174 +898,30 @@ int cmd_campaign_top(const CampaignArgs& args) {
   return 0;
 }
 
-// --- propane campaign trace ----------------------------------------------
-
-/// Worker id out of a "w<id>" stream label (telemetry_streams invariant).
-std::uint32_t stream_worker_id(const std::string& label) {
-  return static_cast<std::uint32_t>(
-      std::strtoul(label.c_str() + 1, nullptr, 10));
-}
-
 /// Merges the dispatcher's and every worker's telemetry into one
-/// Chrome/Perfetto trace-event JSON. Worker clocks align via the HELLO
-/// handshake offsets recorded in the dispatcher's serve.worker.hello
-/// events; --postmortem folds in the tail events dead workers left in
-/// their flight-recorder rings.
+/// Chrome/Perfetto trace-event JSON; --postmortem folds in the tail events
+/// dead workers left in their flight-recorder rings.
 int cmd_campaign_trace(const CampaignArgs& args) {
-  const auto stream_paths = telemetry_streams(args);
-  if (stream_paths.empty()) {
-    std::fprintf(stderr,
-                 "propane: no telemetry log at '%s' -- `campaign trace` "
-                 "needs the NDJSON streams a telemetry-enabled campaign "
-                 "writes\n",
-                 telemetry_path(args).string().c_str());
-    return 1;
-  }
-
-  std::vector<obs::TraceStream> streams;
-  // Raw lines per worker id, for deduplicating flight-recorder recoveries
-  // (the ring holds events the NDJSON file usually also has).
-  std::map<std::uint32_t, std::set<std::string>> worker_lines;
-  std::map<std::uint32_t, std::size_t> worker_stream_index;
-  std::size_t skipped_lines = 0;
-
-  for (const auto& [label, path] : stream_paths) {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "propane: cannot open telemetry log '%s'\n",
-                   path.string().c_str());
-      return 1;
-    }
-    obs::TraceStream stream;
-    stream.name = label;
-    if (label == "dispatcher") {
-      stream.pid = 1;  // refined from serve.done below
-      skipped_lines += obs::parse_ndjson_stream(in, stream.events);
-    } else {
-      const std::uint32_t id = stream_worker_id(label);
-      worker_stream_index[id] = streams.size();
-      std::set<std::string>& seen = worker_lines[id];
-      for (std::string line; std::getline(in, line);) {
-        if (line.empty()) continue;
-        auto fields = obs::parse_flat_json_object(line);
-        if (!fields.has_value()) {
-          ++skipped_lines;  // torn tail of a killed worker
-          continue;
-        }
-        seen.insert(line);
-        stream.events.push_back(std::move(*fields));
-      }
-    }
-    streams.push_back(std::move(stream));
-  }
-
-  // The dispatcher stream anchors the merged timeline: its pid from
-  // serve.done, worker pids from serve.worker.spawn, worker clock offsets
-  // from the HELLO handshake.
-  std::map<std::uint32_t, std::int64_t> worker_pids;
-  std::map<std::uint32_t, std::int64_t> offsets;
-  for (obs::TraceStream& stream : streams) {
-    if (stream.name != "dispatcher") continue;
-    for (const std::vector<obs::Field>& event : stream.events) {
-      const obs::Value* name = find_field(event, "event");
-      if (name == nullptr || name->kind() != obs::Value::Kind::kString) {
-        continue;
-      }
-      const obs::Value* pid = find_field(event, "pid");
-      if (name->as_string() == "serve.worker.spawn") {
-        const obs::Value* id = find_field(event, "worker_id");
-        if (id != nullptr && id->is_number() && pid != nullptr &&
-            pid->is_number()) {
-          worker_pids[static_cast<std::uint32_t>(id->as_uint())] =
-              static_cast<std::int64_t>(pid->as_uint());
-        }
-      } else if (name->as_string() == "serve.done" && pid != nullptr &&
-                 pid->is_number()) {
-        stream.pid = static_cast<std::int64_t>(pid->as_uint());
-      }
-    }
-    offsets = obs::hello_clock_offsets(stream);
-  }
-  for (const auto& [id, index] : worker_stream_index) {
-    obs::TraceStream& stream = streams[index];
-    if (const auto pid = worker_pids.find(id); pid != worker_pids.end()) {
-      stream.pid = pid->second;
-    } else {
-      stream.pid = 1000 + static_cast<std::int64_t>(id);
-    }
-    if (const auto offset = offsets.find(id); offset != offsets.end()) {
-      stream.clock_offset_us = offset->second;
-    }
-  }
-
-  // Flight recorders: always surface crashed workers; --postmortem merges
-  // their surviving ring lines (the NDJSON tail a buffered ofstream lost)
-  // back into the worker's stream.
-  std::size_t crashed = 0;
-  std::error_code ec;
-  for (std::filesystem::directory_iterator it(args.journal, ec), end;
-       !ec && it != end; ++it) {
-    const std::string name = it->path().filename().string();
-    constexpr std::string_view kPrefix = "flight-w";
-    constexpr std::string_view kSuffix = ".bin";
-    if (name.size() <= kPrefix.size() + kSuffix.size() ||
-        name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const auto recording = obs::read_flight_recording(it->path());
-    if (!recording.has_value()) continue;
-    const std::uint32_t id = recording->worker_id;
-    if (!recording->clean_exit) ++crashed;
-    if (!args.postmortem) continue;
-
-    if (worker_stream_index.find(id) == worker_stream_index.end()) {
-      obs::TraceStream stream;
-      stream.name = "w" + std::to_string(id);
-      stream.pid = static_cast<std::int64_t>(recording->pid);
-      if (const auto offset = offsets.find(id); offset != offsets.end()) {
-        stream.clock_offset_us = offset->second;
-      }
-      worker_stream_index[id] = streams.size();
-      streams.push_back(std::move(stream));
-    }
-    obs::TraceStream& stream = streams[worker_stream_index[id]];
-    const std::set<std::string>& seen = worker_lines[id];
-    std::size_t recovered = 0;
-    std::uint64_t last_t_us = 0;
-    for (const std::string& line : recording->lines) {
-      if (seen.find(line) != seen.end()) continue;
-      auto fields = obs::parse_flat_json_object(line);
-      if (!fields.has_value()) continue;  // reader already filtered; belt
-      if (const obs::Value* t = find_field(*fields, "t_us");
-          t != nullptr && t->is_number()) {
-        last_t_us = std::max(last_t_us, t->as_uint());
-      }
-      stream.events.push_back(std::move(*fields));
-      ++recovered;
-    }
-    if (recovered > 0) {
-      stream.events.push_back(
-          {{"event", obs::Value("flight.recovered")},
-           {"t_us", obs::Value(last_t_us)},
-           {"worker_id", obs::Value(id)},
-           {"recovered", obs::Value(recovered)},
-           {"last_seq", obs::Value(recording->last_seq)},
-           {"clean_exit", obs::Value(recording->clean_exit)}});
-    }
+  const auto logs = find_logs_or_complain(
+      args,
+      " -- `campaign trace` needs the NDJSON streams a telemetry-enabled "
+      "campaign writes");
+  if (!logs.has_value()) return 1;
+  const obs::TraceStreamSet set =
+      obs::assemble_trace_streams(*logs, args.postmortem);
+  for (const obs::FlightReport& ring : set.postmortem) {
     std::printf(
         "postmortem w%u: pid %llu, %s, %zu ring event(s), %zu recovered "
         "(missing from the NDJSON stream)\n",
-        id, static_cast<unsigned long long>(recording->pid),
-        recording->clean_exit ? "clean exit" : "crashed (no clean-exit flag)",
-        recording->lines.size(), recovered);
+        ring.worker_id, static_cast<unsigned long long>(ring.pid),
+        ring.clean_exit ? "clean exit" : "crashed (no clean-exit flag)",
+        ring.ring_events, ring.recovered);
   }
-  if (crashed > 0 && !args.postmortem) {
+  if (set.crashed > 0 && !args.postmortem) {
     std::printf(
         "%zu flight recorder(s) flag a crash; re-run with --postmortem to "
         "fold their final events into the trace\n",
-        crashed);
+        set.crashed);
   }
 
   const std::filesystem::path out_path =
@@ -1447,7 +934,7 @@ int cmd_campaign_trace(const CampaignArgs& args) {
     return 1;
   }
   const obs::TraceExportSummary summary =
-      obs::write_chrome_trace(out, streams);
+      obs::write_chrome_trace(out, set.streams);
   out.flush();
   if (!out) {
     std::fprintf(stderr, "propane: write failed for trace '%s'\n",
@@ -1455,14 +942,14 @@ int cmd_campaign_trace(const CampaignArgs& args) {
     return 1;
   }
   std::string skipped_note;
-  if (skipped_lines > 0) {
+  if (set.torn_lines > 0) {
     skipped_note =
-        " (" + std::to_string(skipped_lines) + " torn line(s) skipped)";
+        " (" + std::to_string(set.torn_lines) + " torn line(s) skipped)";
   }
   std::printf(
       "trace %s: %zu event(s) from %zu stream(s) -- %zu span(s), "
       "%zu synthesized, %zu counter sample(s), %zu instant(s)%s\n",
-      out_path.string().c_str(), summary.trace_events, streams.size(),
+      out_path.string().c_str(), summary.trace_events, set.streams.size(),
       summary.spans, summary.synthesized, summary.counter_samples,
       summary.instants, skipped_note.c_str());
   std::printf("open in ui.perfetto.dev or chrome://tracing\n");
