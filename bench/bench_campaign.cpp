@@ -117,29 +117,35 @@ Workload make_workload(const exp::ExperimentScale& scale) {
   return w;
 }
 
-/// Packing of the batch path, per phase: the planner's settle batches
-/// over the live lanes, and the finish batches the lanes left undecided
-/// were repacked into. Occupancy is lanes over offered lane slots
-/// (batches x configured lane width), so packing quality (not early exit)
-/// is what moves it -- 1.0 means every batch left the planner full.
+/// Packing of the batch path: the first-window batches the runner packed
+/// from the plan's live lanes, and the compactions between windows. Plan
+/// occupancy is lanes over offered lane slots (batches x configured lane
+/// width), so packing quality (not early exit) is what moves it -- 1.0
+/// means every batch left the planner full. A compaction is dense when it
+/// leaves the lanes at its tick in exactly ceil(live / width) batches;
+/// compaction_surplus sums the batches beyond that.
 struct Packing {
-  std::size_t batches = 0;  // settle phase
+  std::size_t batches = 0;
   std::size_t lanes = 0;
   double occupancy = 0.0;
-  std::size_t finish_batches = 0;
-  std::size_t finish_lanes = 0;
+  std::size_t compactions = 0;
+  std::size_t compacted_lanes = 0;
+  std::size_t compacted_batches = 0;
+  std::size_t compaction_surplus = 0;
 };
 
 Packing packing_of(const arr::BatchRunStats& stats) {
   Packing out;
-  out.finish_batches = stats.finish_batches.load();
-  out.finish_lanes = stats.finish_lanes.load();
-  out.batches = stats.batches.load() - out.finish_batches;
+  out.batches = stats.batches.load();
   out.lanes = stats.batched_lanes.load();
   if (out.batches > 0) {
     out.occupancy = static_cast<double>(out.lanes) /
                     static_cast<double>(out.batches * fi::kDefaultBatchSize);
   }
+  out.compactions = stats.compactions.load();
+  out.compacted_lanes = stats.compacted_lanes.load();
+  out.compacted_batches = stats.compacted_batches.load();
+  out.compaction_surplus = stats.compaction_surplus.load();
   return out;
 }
 
@@ -149,8 +155,10 @@ void write_packing(std::ostream& json, const Packing& packing) {
        << ",\"batched_lanes\":" << packing.lanes
        << ",\"lane_width\":" << fi::kDefaultBatchSize
        << ",\"lane_occupancy\":" << packing.occupancy
-       << ",\"finish_batches\":" << packing.finish_batches
-       << ",\"finish_lanes\":" << packing.finish_lanes;
+       << ",\"compactions\":" << packing.compactions
+       << ",\"compacted_lanes\":" << packing.compacted_lanes
+       << ",\"compacted_batches\":" << packing.compacted_batches
+       << ",\"compaction_surplus\":" << packing.compaction_surplus;
 }
 
 /// Delta-campaign measurement: a cold run of the full 13-target plan into
@@ -500,15 +508,15 @@ int main() {
                     w.config);
   const Packing batch_packing = packing_of(*batch_stats);
   std::printf("batch campaign: %zu runs in %.2f s  =>  %.0f runs/s "
-              "(%zu settle batches, %zu lanes, occupancy %.2f; "
-              "%zu finish batches, %zu lanes; "
+              "(%zu batches, %zu lanes, occupancy %.2f; "
+              "%zu compactions, %zu compacted batches; "
               "%zu checkpoint-origin lanes, %zu t=0-origin lanes, "
               "%zu converged-early, %zu exhausted-early, %zu never-fire, "
               "%llu lane-ms skipped; %.2fx vs cold)\n",
               batch.runs, batch.wall_s, batch.runs_per_s,
               batch_packing.batches, batch_packing.lanes,
-              batch_packing.occupancy, batch_packing.finish_batches,
-              batch_packing.finish_lanes, warm_stats->warm_runs.load(),
+              batch_packing.occupancy, batch_packing.compactions,
+              batch_packing.compacted_batches, warm_stats->warm_runs.load(),
               warm_stats->cold_runs.load(),
               batch_stats->retired_converged.load(),
               batch_stats->retired_exhausted.load(),
@@ -523,27 +531,27 @@ int main() {
       sparse.batch.runs_per_s / sparse.cold.runs_per_s;
   std::printf("sparse campaign (1 bit x %zu instants): cold %zu runs in "
               "%.2f s  =>  %.0f runs/s; batch %.2f s  =>  %.0f runs/s "
-              "(%zu settle batches, %zu lanes, occupancy %.2f; "
-              "%zu finish batches, %zu lanes; %.2fx vs cold)\n",
+              "(%zu batches, %zu lanes, occupancy %.2f; "
+              "%zu compactions, %zu compacted batches; %.2fx vs cold)\n",
               sparse.instants, sparse.cold.runs, sparse.cold.wall_s,
               sparse.cold.runs_per_s, sparse.batch.wall_s,
               sparse.batch.runs_per_s, sparse.packing.batches,
               sparse.packing.lanes, sparse.packing.occupancy,
-              sparse.packing.finish_batches, sparse.packing.finish_lanes,
+              sparse.packing.compactions, sparse.packing.compacted_batches,
               sparse_speedup);
 
   // --- delta campaign: cold baseline vs incremental re-run ----------------
   const DeltaBench delta = run_delta_bench(w);
   std::printf("delta campaign (13 targets, V_REG invalidated): cold %zu runs "
               "in %.2f s; delta %zu executed + %zu replayed in %.2f s  =>  "
-              "%.1fx (%zu settle batches, %zu lanes, occupancy %.2f; "
-              "%zu finish batches, %zu lanes)\n",
+              "%.1fx (%zu batches, %zu lanes, occupancy %.2f; "
+              "%zu compactions, %zu compacted batches)\n",
               delta.total_runs, delta.cold_wall_s, delta.delta_executed,
               delta.delta_replayed, delta.delta_wall_s, delta.speedup,
               delta.delta_packing.batches, delta.delta_packing.lanes,
               delta.delta_packing.occupancy,
-              delta.delta_packing.finish_batches,
-              delta.delta_packing.finish_lanes);
+              delta.delta_packing.compactions,
+              delta.delta_packing.compacted_batches);
 
   // --- bootstrap resampling over the cold campaign's records --------------
   const std::size_t boot_replicates = w.scale == "smoke" ? 200 : 1000;

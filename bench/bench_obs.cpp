@@ -149,7 +149,7 @@ obs::Event batch_done_event(std::uint64_t n) {
                           {"test_cases", obs::Value(2)},
                           {"lanes", obs::Value(32)},
                           {"dur_us", obs::Value(std::uint64_t{6529})},
-                          {"phase", obs::Value("finish")},
+                          {"phase", obs::Value("lockstep")},
                           {"settled", obs::Value(32)},
                           {"diverged", obs::Value(19)}});
 }

@@ -112,18 +112,16 @@ void CalcModule::step(fi::SignalBus& bus) {
   }
 }
 
-BatchedCalc::BatchedCalc(const BusMap& map, const CalcModule& prototype,
-                         std::size_t lanes)
-    : map_(map) {
+BatchedCalc::BatchedCalc(const BusMap& map, std::size_t lanes)
+    : map_(map),
+      seg_start_pulses_(lanes),
+      seg_start_ms_(lanes),
+      seg_start_velocity_(lanes),
+      seg_set_value_(lanes),
+      gain_(lanes) {
   for (int i = 0; i < kCheckpointCount; ++i) {
     checkpoint_pulses_[i] = CalcModule::checkpoint_pulses(i);
   }
-  const CalcModule::Snapshot s = prototype.snapshot();
-  seg_start_pulses_.assign(lanes, s.seg_start_pulses);
-  seg_start_ms_.assign(lanes, s.seg_start_ms);
-  seg_start_velocity_.assign(lanes, s.seg_start_velocity);
-  seg_set_value_.assign(lanes, s.seg_set_value);
-  gain_.assign(lanes, s.gain);
 }
 
 void BatchedCalc::step_lanes(fi::BatchedSignalBus& bus) {

@@ -89,15 +89,15 @@ CalcCheckpointOutcome calc_checkpoint_math(std::uint16_t seg_pulses,
 /// branch routed through calc_checkpoint_math per lane.
 class BatchedCalc {
  public:
-  /// Every lane starts as a copy of `prototype`'s current state.
-  BatchedCalc(const BusMap& map, const CalcModule& prototype,
-              std::size_t lanes);
+  BatchedCalc(const BusMap& map, std::size_t lanes);
 
-  /// Overwrites one lane's segment state with `prototype`'s
-  /// (cross-test-case batch segment seeding). Must precede the first
-  /// step_lanes.
-  void load_lane(std::size_t lane, const CalcModule& prototype) {
-    const CalcModule::Snapshot snap = prototype.snapshot();
+  /// One lane's segment state, for seeding and lane transplant. Must
+  /// precede the first step_lanes of a fresh batch.
+  CalcModule::Snapshot lane_snapshot(std::size_t lane) const {
+    return {seg_start_pulses_[lane], seg_start_ms_[lane],
+            seg_start_velocity_[lane], seg_set_value_[lane], gain_[lane]};
+  }
+  void load_lane(std::size_t lane, const CalcModule::Snapshot& snap) {
     seg_start_pulses_[lane] = snap.seg_start_pulses;
     seg_start_ms_[lane] = snap.seg_start_ms;
     seg_start_velocity_[lane] = snap.seg_start_velocity;

@@ -59,31 +59,37 @@ void Environment::step(fi::SignalBus& bus, sim::SimTime now) {
   bus.write(map_.adc, adc_.read());
 }
 
-BatchedEnvironment::BatchedEnvironment(const Environment& origin,
-                                       const BusMap& map,
+BatchedEnvironment::BatchedEnvironment(const BusMap& map,
                                        std::size_t lane_count)
     : map_(map),
       timer_(kTimerTicksPerUs),
       adc_(0.0, kMaxPressurePa),
-      mass_y_(lane_count, ExactDivisor(origin.mass_kg()).divisor()),
-      mass_recip_(lane_count, ExactDivisor(origin.mass_kg()).reciprocal()),
+      mass_y_(lane_count),
+      mass_recip_(lane_count),
       div_adc_span_(adc_.hi() - adc_.lo()),
-      velocity_(lane_count, origin.velocity_mps()),
-      position_(lane_count, origin.position_m()),
-      pressure_(lane_count, origin.pressure_pa()),
-      pulse_accumulator_(lane_count, origin.pulse_accumulator()),
-      peak_decel_(lane_count, origin.peak_decel()) {}
+      velocity_(lane_count),
+      position_(lane_count),
+      pressure_(lane_count),
+      pulse_accumulator_(lane_count),
+      peak_decel_(lane_count) {}
+
+void BatchedEnvironment::load_lane(std::size_t lane, const LaneState& state) {
+  mass_y_[lane] = state.mass_y;
+  mass_recip_[lane] = state.mass_recip;
+  velocity_[lane] = state.velocity;
+  position_[lane] = state.position;
+  pressure_[lane] = state.pressure;
+  pulse_accumulator_[lane] = state.pulse_accumulator;
+  peak_decel_[lane] = state.peak_decel;
+}
 
 void BatchedEnvironment::load_lane(std::size_t lane,
                                    const Environment& origin) {
   const ExactDivisor div_mass(origin.mass_kg());
-  mass_y_[lane] = div_mass.divisor();
-  mass_recip_[lane] = div_mass.reciprocal();
-  velocity_[lane] = origin.velocity_mps();
-  position_[lane] = origin.position_m();
-  pressure_[lane] = origin.pressure_pa();
-  pulse_accumulator_[lane] = origin.pulse_accumulator();
-  peak_decel_[lane] = origin.peak_decel();
+  load_lane(lane, LaneState{div_mass.divisor(), div_mass.reciprocal(),
+                            origin.velocity_mps(), origin.position_m(),
+                            origin.pressure_pa(), origin.pulse_accumulator(),
+                            origin.peak_decel()});
 }
 
 namespace {

@@ -85,13 +85,28 @@ class Environment {
 /// path compiles.
 class BatchedEnvironment {
  public:
-  /// Replicates `origin`'s physical state across `lane_count` lanes.
-  BatchedEnvironment(const Environment& origin, const BusMap& map,
-                     std::size_t lane_count);
+  /// `lane_count` lanes, every one to be seeded with load_lane before the
+  /// first step_lanes.
+  BatchedEnvironment(const BusMap& map, std::size_t lane_count);
 
-  /// Overwrites one lane's physical state (including its mass divisor)
-  /// with `origin`'s -- how a cross-test-case batch seeds the lanes of its
-  /// non-primary segments. Must be called before the first step_lanes.
+  /// One lane's physical state, mass divisor included: what a lane
+  /// carries when it is transplanted into another batch.
+  struct LaneState {
+    double mass_y = 0.0;
+    double mass_recip = 0.0;
+    double velocity = 0.0;
+    double position = 0.0;
+    double pressure = 0.0;
+    double pulse_accumulator = 0.0;
+    double peak_decel = 0.0;
+  };
+  LaneState lane_state(std::size_t lane) const {
+    return {mass_y_[lane],   mass_recip_[lane], velocity_[lane],
+            position_[lane], pressure_[lane],   pulse_accumulator_[lane],
+            peak_decel_[lane]};
+  }
+  void load_lane(std::size_t lane, const LaneState& state);
+  /// Seeds one lane with `origin`'s physical state.
   void load_lane(std::size_t lane, const Environment& origin);
 
   /// Advances every lane by one millisecond ending at `now`, publishing

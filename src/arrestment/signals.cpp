@@ -28,4 +28,12 @@ BusMap build_bus(fi::SignalBus& bus) {
   return map;
 }
 
+const BusMap& arrestment_bus_map() {
+  static const BusMap map = [] {
+    fi::SignalBus bus;
+    return build_bus(bus);
+  }();
+  return map;
+}
+
 }  // namespace propane::arr

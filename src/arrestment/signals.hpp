@@ -46,4 +46,7 @@ struct BusMap {
 /// Registers every canonical signal on an empty bus and returns the map.
 BusMap build_bus(fi::SignalBus& bus);
 
+/// The map build_bus returns (the same for every bus it builds).
+const BusMap& arrestment_bus_map();
+
 }  // namespace propane::arr

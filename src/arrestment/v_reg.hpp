@@ -45,17 +45,19 @@ class VRegModule {
 /// in a single vectorizable integer pass.
 class BatchedVReg {
  public:
-  BatchedVReg(const BusMap& map, const VRegModule& prototype,
-              std::size_t lanes)
+  BatchedVReg(const BusMap& map, std::size_t lanes)
       : set_value_(map.set_value),
         in_value_(map.in_value),
         out_value_(map.out_value),
-        integrator_(lanes, prototype.integrator()) {}
+        integrator_(lanes) {}
 
-  /// Overwrites one lane's integrator with `prototype`'s (cross-test-case
-  /// batch segment seeding). Must precede the first step_lanes.
-  void load_lane(std::size_t lane, const VRegModule& prototype) {
-    integrator_[lane] = prototype.integrator();
+  /// One lane's integrator, for seeding and lane transplant. Must precede
+  /// the first step_lanes of a fresh batch.
+  std::int32_t lane_integrator(std::size_t lane) const {
+    return integrator_[lane];
+  }
+  void load_lane(std::size_t lane, std::int32_t integrator) {
+    integrator_[lane] = integrator;
   }
 
   void step_lanes(fi::BatchedSignalBus& bus);

@@ -27,14 +27,13 @@
 namespace propane::arr {
 
 /// Origin counters of the batch runner (shared with the caller; updated
-/// from worker threads). Each live lane counts once, in the batch that
-/// made its report final, so warm_runs + cold_runs equals
+/// from worker threads). Each live lane counts once, by the origin of the
+/// batch it started in, so warm_runs + cold_runs equals
 /// BatchRunStats::batched_lanes.
 struct WarmStartStats {
-  /// Live lanes decided by a batch that started from a golden-run
-  /// checkpoint.
+  /// Live lanes started from a golden-run checkpoint.
   std::atomic<std::size_t> warm_runs{0};
-  /// Live lanes decided by a batch that started from a fresh t=0 origin.
+  /// Live lanes started from a fresh t=0 origin.
   std::atomic<std::size_t> cold_runs{0};
   /// Simulated milliseconds *not* re-executed thanks to checkpoints.
   std::atomic<std::uint64_t> saved_ms{0};

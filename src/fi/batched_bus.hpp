@@ -25,19 +25,13 @@ namespace propane::fi {
 
 class BatchedSignalBus {
  public:
-  /// Broadcasts `prototype`'s current values across `lane_count` lanes.
-  /// All lanes start bit-identical; injections and divergence do the rest.
-  BatchedSignalBus(const SignalBus& prototype, std::size_t lane_count)
-      : signals_(prototype.signal_count()), lanes_(lane_count) {
+  /// `lane_count` lanes of `signal_count` zeroed signals, to be filled with
+  /// load_lane.
+  BatchedSignalBus(std::size_t signal_count, std::size_t lane_count)
+      : signals_(signal_count),
+        lanes_(lane_count),
+        values_(signal_count * lane_count, 0) {
     PROPANE_REQUIRE_MSG(lane_count > 0, "batch needs at least one lane");
-    values_.resize(signals_ * lanes_);
-    const std::span<const std::uint16_t> proto = prototype.values();
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      std::uint16_t* row = values_.data() + sig * lanes_;
-      for (std::size_t lane = 0; lane < lanes_; ++lane) {
-        row[lane] = proto[sig];
-      }
-    }
   }
 
   std::size_t signal_count() const { return signals_; }

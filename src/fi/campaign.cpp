@@ -44,16 +44,6 @@ std::uint64_t derive_seed(const CampaignConfig& config, std::uint64_t kind,
   return splitmix64(s);
 }
 
-/// Appends `lane` to the last of `batches`, opening a new batch when that
-/// one already holds `width` lanes.
-void pack_lane(std::vector<BatchRunRequest>& batches,
-               const BatchLaneRequest& lane, std::size_t width, bool settle) {
-  if (batches.empty() || batches.back().lanes.size() == width) {
-    batches.emplace_back().settle = settle;
-  }
-  batches.back().lanes.push_back(lane);
-}
-
 }  // namespace
 
 std::uint64_t golden_run_seed(const CampaignConfig& config,
@@ -80,10 +70,10 @@ struct CampaignExecutor::Instruments {
   bool timed = false;
 };
 
-/// One executed batch as campaign.batch.done reports it: its shape (the
-/// earliest fire tick, the distinct test cases, the lane count), its
-/// measured wall time, and how many of its lanes reached a final record
-/// and how many of those diverged.
+/// One executed chunk (or scalar batch) as campaign.batch.done reports it:
+/// its shape (the earliest fire tick, the distinct test cases, the lane
+/// count), its measured wall time, and how many of its lanes reached a
+/// final record and how many of those diverged.
 struct CampaignExecutor::BatchDone {
   const char* phase = "";
   std::uint64_t fire_ms = ~std::uint64_t{0};
@@ -311,13 +301,11 @@ void CampaignExecutor::execute_range_scalar(RunRange range) {
   });
 }
 
-std::vector<BatchRunRequest> CampaignExecutor::plan_batches(
-    RunRange range) {
+std::vector<BatchRunRequest> CampaignExecutor::plan_chunks(RunRange range) {
   // Walk the range in flat order, filter through should_run (exactly like
-  // the scalar path -- skipped runs never reach a batch), order the
-  // survivors by (fire tick, test case) and pack them greedily into settle
-  // batches of at most one batch width. Batches freely mix test cases (the
-  // runner gives each test case its own golden lane) and fire ticks
+  // the scalar path -- skipped runs never reach a batch) and order the
+  // survivors by (fire tick, test case). Batches freely mix test cases
+  // (the runner gives each test case its own golden lane) and fire ticks
   // (later-firing lanes ride along from the earliest fire tick and
   // activate when their tick arrives), so thin groups -- sparse plans,
   // delta-invalidated subsets, range tails -- still fill the SoA kernel.
@@ -338,91 +326,57 @@ std::vector<BatchRunRequest> CampaignExecutor::plan_batches(
     groups[{injection_fire_ms(spec.when), static_cast<std::uint32_t>(tc)}]
         .push_back(lane);
   }
-
   const std::size_t width = lanes_per_batch();
-  std::vector<BatchRunRequest> batches;
+  const std::size_t chunk_lanes = width * kBatchesPerChunk;
+  std::vector<BatchRunRequest> chunks;
   for (const auto& [key, lanes] : groups) {
     for (const BatchLaneRequest& lane : lanes) {
-      pack_lane(batches, lane, width, /*settle=*/true);
+      if (chunks.empty() || chunks.back().lanes.size() == chunk_lanes) {
+        chunks.emplace_back().width = width;
+        chunks.back().lanes.reserve(chunk_lanes);
+      }
+      chunks.back().lanes.push_back(lane);
     }
   }
-  return batches;
-}
-
-void CampaignExecutor::execute_batches(
-    const std::vector<BatchRunRequest>& batches,
-    std::vector<std::uint8_t>* unsettled) {
-  const bool timed = instruments_->timed;
-  const std::size_t width = lanes_per_batch();
-  pool_->parallel_for(0, batches.size(), [&](std::size_t b) {
-    const BatchRunRequest& batch = batches[b];
-    const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
-    BatchRunResult result = runner_.batch(batch);
-    PROPANE_CHECK_MSG(result.reports.size() == batch.lanes.size() &&
-                          result.settled.size() == batch.lanes.size(),
-                      "batch runner must return one report per lane");
-    BatchDone done;
-    done.phase = batch.settle ? "settle" : "finish";
-    done.dur_us = timed ? obs::steady_now_us() - start_us : 0;
-    for (std::size_t i = 0; i < batch.lanes.size(); ++i) {
-      done.add_lane(*batch.lanes[i].spec, batch.lanes[i].test_case);
-      if (result.settled[i]) done.add_final(result.reports[i]);
-    }
-    // Reported before the records are journaled, so the event's timestamp
-    // closes the batch's measured kernel window.
-    report_batch(done);
-
-    for (std::size_t i = 0; i < batch.lanes.size(); ++i) {
-      if (!result.settled[i]) {
-        // Each plan position belongs to exactly one batch: pool threads
-        // write disjoint flags, with no lock and no allocation.
-        PROPANE_CHECK_MSG(batch.settle && unsettled != nullptr,
-                          "a finish batch must settle every lane");
-        (*unsettled)[b * width + i] = 1;
-        continue;
-      }
-      InjectionRecord record = make_record_identity(batch.lanes[i].flat);
-      record.report = std::move(result.reports[i]);
-      finish_record(batch.lanes[i].flat, std::move(record));
-    }
-  });
+  return chunks;
 }
 
 void CampaignExecutor::execute_range_batched(RunRange range) {
-  // Settle, then pack. Most lanes' outcomes are decided within a few
-  // ticks of their fire tick (the error is masked and the lane
-  // re-converges with its golden lane, or every signal has diverged),
-  // while the rest persist to the horizon. So every batch first runs only
-  // to its settle point; the lanes still undecided there are repacked
-  // densely, in plan order, into finish batches that run from their
-  // checkpoint to the horizon. The long tail of the horizon is then swept
-  // only for live lanes, not for lanes that retired early. Batch
-  // composition is a pure execution detail: every lane's report is
-  // bit-identical to its scalar run whatever batch it lands in, so any
-  // range partition, batch size or phase split yields byte-identical
-  // records.
+  // One pool task per chunk of consecutive plan lanes. The runner decides
+  // how the chunk's lanes share lockstep batches over time; whatever it
+  // does, every lane's report is bit-identical to its scalar run, so any
+  // range partition, batch size or chunking yields byte-identical records.
   obs::Span injection_phase(hooks_.telemetry, "campaign.injection_phase");
-  std::vector<BatchRunRequest> batches = plan_batches(range);
-
-  // Unsettled lanes as flags indexed by plan position (batch b, lane i at
-  // b * width + i: every batch but the last is full).
-  const std::size_t width = lanes_per_batch();
-  std::vector<std::uint8_t> unsettled(batches.size() * width, 0);
-  execute_batches(batches, &unsettled);
-
-  std::vector<BatchRunRequest> finish;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    for (std::size_t i = 0; i < batches[b].lanes.size(); ++i) {
-      if (unsettled[b * width + i]) {
-        pack_lane(finish, batches[b].lanes[i], width, /*settle=*/false);
-      }
+  std::vector<BatchRunRequest> chunks = plan_chunks(range);
+  const bool timed = instruments_->timed;
+  pool_->parallel_for(0, chunks.size(), [&](std::size_t chunk) {
+    // Each chunk belongs to one pool task, which releases it when done.
+    BatchRunRequest request = std::move(chunks[chunk]);
+    BatchDone done;
+    done.phase = "lockstep";
+    for (const BatchLaneRequest& lane : request.lanes) {
+      done.add_lane(*lane.spec, lane.test_case);
     }
-  }
-  // Release the settle phase's plan before the long-running phase.
-  std::vector<BatchRunRequest>().swap(batches);
-  std::vector<std::uint8_t>().swap(unsettled);
-
-  execute_batches(finish, nullptr);
+    // Each lane's record is finished -- journaled, when a journal listens
+    // -- as soon as its report is final, so a crash loses only the lanes
+    // still in flight.
+    std::vector<std::uint8_t> reported(request.lanes.size(), 0);
+    request.on_final = [&](std::size_t i, DivergenceReport report) {
+      PROPANE_CHECK_MSG(i < reported.size() && reported[i] == 0,
+                        "batch runner must report each lane once");
+      reported[i] = 1;
+      done.add_final(report);
+      InjectionRecord record = make_record_identity(request.lanes[i].flat);
+      record.report = std::move(report);
+      finish_record(request.lanes[i].flat, std::move(record));
+    };
+    const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
+    runner_.batch(request);
+    PROPANE_CHECK_MSG(done.settled == request.lanes.size(),
+                      "batch runner must report every lane");
+    done.dur_us = timed ? obs::steady_now_us() - start_us : 0;
+    report_batch(done);
+  });
 }
 
 CampaignResult run_campaign(const CampaignRunner& runner,

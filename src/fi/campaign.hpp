@@ -55,33 +55,37 @@ struct BatchLaneRequest {
   const InjectionSpec* spec = nullptr;
 };
 
-/// A lockstep batch: injection runs simulated together, each lane tracked
-/// against a golden lane of its own test case. Lanes may mix test cases
-/// and fire ticks freely (the planner packs them to saturate the SoA
-/// kernel); per-lane identity, test case and fire time travel in the lane
-/// entries. A lane whose injection fires at/after the run horizon never
-/// fires (all-clear report).
+/// Batch-lane count used when CampaignConfig::batch_size is 0.
+inline constexpr std::size_t kDefaultBatchSize = 32;
+
+/// Lockstep batches per chunk: the unit of work one pool thread takes.
+/// Wide enough that the runner can merge the survivors of many batches
+/// into dense ones as lanes retire, narrow enough to keep every thread
+/// busy (a full-scale plan makes 102 chunks) and each thread's batches
+/// few (wider chunks cut kernel ticks a little more but raise peak RSS).
+inline constexpr std::size_t kBatchesPerChunk = 16;
+
+/// Report sink of a batch run: lane index into BatchRunRequest::lanes, and
+/// that lane's final report.
+using LaneReportSink = std::function<void(std::size_t lane, DivergenceReport)>;
+
+/// A chunk of lockstep work: injection runs in plan order (fire tick, then
+/// test case), simulated together in batches of `width` lanes, each lane
+/// tracked against a golden lane of its own test case. Lanes may mix test
+/// cases and fire ticks freely; per-lane identity, test case and fire time
+/// travel in the lane entries. A lane whose injection fires at/after the
+/// run horizon never fires (all-clear report).
 struct BatchRunRequest {
   std::vector<BatchLaneRequest> lanes;
-  /// Settle phase: the runner may stop the batch early (the arrestment
-  /// kernel stops at its first convergence check) and report the lanes
-  /// whose outcome is not decided yet as unsettled; the executor reruns
-  /// those in a finish batch. A request without the flag settles every
-  /// lane.
-  bool settle = false;
+  std::size_t width = kDefaultBatchSize;
+  /// Called once per lane, from the calling thread, as soon as the lane's
+  /// report is final -- bit-identical to what the scalar path's
+  /// compare_to_golden would produce for that run. Every lane is reported
+  /// before the call returns.
+  LaneReportSink on_final;
 };
 
-/// What a batch run returns: one DivergenceReport per lane, in lane order,
-/// and per lane whether that report is final (`settled[i] != 0`). A final
-/// report is bit-identical to what the scalar path's compare_to_golden
-/// would have produced for that run; a non-final one is discarded.
-struct BatchRunResult {
-  std::vector<DivergenceReport> reports;
-  std::vector<std::uint8_t> settled;
-};
-
-using BatchRunFunction =
-    std::function<BatchRunResult(const BatchRunRequest&)>;
+using BatchRunFunction = std::function<void(const BatchRunRequest&)>;
 
 /// The system under test, as handed to the campaign: a scalar per-run
 /// function (mandatory -- golden runs and the fallback path always use it)
@@ -122,9 +126,6 @@ struct CampaignConfig {
   /// different batch size (or on the scalar path) without invalidation.
   std::size_t batch_size = 0;
 };
-
-/// Batch-lane count used when CampaignConfig::batch_size is 0.
-inline constexpr std::size_t kDefaultBatchSize = 32;
 
 /// Outcome of one injection run, reduced to first divergences. The
 /// injection identity (index into the plan, target, time) is embedded so
@@ -198,7 +199,8 @@ struct CampaignHooks {
   /// Optional telemetry (non-owning, must outlive the campaign). Purely
   /// observational: counters, spans, golden-run events
   /// (campaign.run.start/end, golden.done) and one campaign.batch.done
-  /// event per injection batch -- nothing per injection run. Never
+  /// event per chunk of lockstep batches (per batch width of runs on the
+  /// scalar path) -- nothing per injection run. Never
   /// consulted for scheduling or seeding, so enabling it cannot change any
   /// result.
   const obs::Telemetry* telemetry = nullptr;
@@ -246,13 +248,12 @@ class CampaignExecutor {
   /// (clamped to the plan) and blocks until the range completes. Ranges may
   /// execute in any order; hooks.should_run is the seam that keeps a flat
   /// index from running twice when ranges overlap (e.g. a requeued lease).
-  /// When the runner has a BatchRunFunction, the range is planned into
-  /// lockstep batches (runs ordered by fire tick then test case and packed
-  /// greedily, so lanes of different test cases and fire ticks share a
-  /// batch), run to their settle point, and the undecided lanes repacked
-  /// into finish batches that run to the horizon; records keep their flat
-  /// identity either way, and every lane is bit-identical to its scalar
-  /// run regardless of batch composition, so journals and CSVs are
+  /// When the runner has a BatchRunFunction, the range's runs are ordered
+  /// by (fire tick, test case, flat) and handed to it in chunks of
+  /// kBatchesPerChunk batch widths, one chunk per pool task; every record
+  /// is finished as soon as the runner reports its lane final. Records
+  /// keep their flat identity, and every lane is bit-identical to its
+  /// scalar run regardless of batch composition, so journals and CSVs are
   /// bit-identical to the scalar path. Not thread-safe: call from one
   /// thread at a time.
   void execute_range(RunRange range);
@@ -269,18 +270,12 @@ class CampaignExecutor {
   /// of one batch width. Scalar-only runners (the cold oracle, the
   /// two-node variant, test toys) go through here.
   void execute_range_scalar(RunRange range);
-  /// Batch path: a settle phase over the planned batches, then a finish
-  /// phase over the lanes it left undecided, repacked densely.
+  /// Batch path: the range's executable runs in plan order, one pool task
+  /// per chunk.
   void execute_range_batched(RunRange range);
   /// The range's executable runs, ordered by (fire tick, test case, flat)
-  /// and packed into settle batches of lanes_per_batch() lanes.
-  std::vector<BatchRunRequest> plan_batches(RunRange range);
-  /// Runs `batches` over the pool and finishes every settled lane's
-  /// record. Settle batches need `unsettled` (one flag per plan position,
-  /// batch b lane i at b * lanes_per_batch() + i), which pool threads set
-  /// for the lanes left to a finish batch.
-  void execute_batches(const std::vector<BatchRunRequest>& batches,
-                       std::vector<std::uint8_t>* unsettled);
+  /// and cut into chunks of kBatchesPerChunk batch widths.
+  std::vector<BatchRunRequest> plan_chunks(RunRange range);
   std::size_t lanes_per_batch() const;
   InjectionRecord make_record_identity(std::size_t flat) const;
   /// hooks.should_run for one flat index; a skipped run is counted and, in

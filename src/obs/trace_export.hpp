@@ -18,8 +18,8 @@
 //                              cross-process parent chain (worker run ->
 //                              worker.lease -> serve.lease) is navigable;
 //   * campaign.batch.done   -> synthesized "campaign.batch" X events, one
-//                              per injection batch (settle, finish or
-//                              scalar phase), parented by time containment
+//                              per chunk of lockstep batches (or scalar
+//                              batch), parented by time containment
 //                              under the enclosing worker.lease span --
 //                              injection runs are accounted per batch, and
 //                              no per-run event exists to draw;

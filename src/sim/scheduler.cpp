@@ -12,59 +12,56 @@ void SlotScheduler::add_slot_task(std::size_t slot, std::string name,
                                   Task task) {
   PROPANE_REQUIRE(slot < slots_.size());
   PROPANE_REQUIRE(task != nullptr);
-  slots_[slot].push_back(
-      NamedTask{std::move(name), std::move(task), nullptr});
+  slots_[slot].push_back(tasks_.size());
+  tasks_.push_back(NamedTask{std::move(name), std::move(task), nullptr});
 }
 
 void SlotScheduler::add_every_slot_task(std::string name, Task task) {
   PROPANE_REQUIRE(task != nullptr);
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    slots_[s].push_back(NamedTask{name, task, nullptr});
-  }
+  for (std::vector<std::size_t>& slot : slots_) slot.push_back(tasks_.size());
+  tasks_.push_back(NamedTask{std::move(name), std::move(task), nullptr});
 }
 
 void SlotScheduler::add_background_task(std::string name, Task task) {
   PROPANE_REQUIRE(task != nullptr);
-  background_.push_back(NamedTask{std::move(name), std::move(task), nullptr});
+  background_.push_back(tasks_.size());
+  tasks_.push_back(NamedTask{std::move(name), std::move(task), nullptr});
 }
 
 void SlotScheduler::add_slot_batch_task(std::size_t slot, std::string name,
                                         BatchTask task) {
   PROPANE_REQUIRE(slot < slots_.size());
   PROPANE_REQUIRE(task != nullptr);
-  slots_[slot].push_back(
-      NamedTask{std::move(name), nullptr, std::move(task)});
+  slots_[slot].push_back(tasks_.size());
+  tasks_.push_back(NamedTask{std::move(name), nullptr, std::move(task)});
 }
 
 void SlotScheduler::add_every_slot_batch_task(std::string name,
                                               BatchTask task) {
   PROPANE_REQUIRE(task != nullptr);
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    slots_[s].push_back(NamedTask{name, nullptr, task});
-  }
+  for (std::vector<std::size_t>& slot : slots_) slot.push_back(tasks_.size());
+  tasks_.push_back(NamedTask{std::move(name), nullptr, std::move(task)});
 }
 
 void SlotScheduler::add_background_batch_task(std::string name,
                                               BatchTask task) {
   PROPANE_REQUIRE(task != nullptr);
-  background_.push_back(NamedTask{std::move(name), nullptr, std::move(task)});
+  background_.push_back(tasks_.size());
+  tasks_.push_back(NamedTask{std::move(name), nullptr, std::move(task)});
+}
+
+void SlotScheduler::run_task(std::size_t index, const LaneMask& live) const {
+  const NamedTask& t = tasks_[index];
+  if (t.batch) {
+    t.batch(now_, live);
+  } else {
+    t.task(now_);
+  }
 }
 
 void SlotScheduler::dispatch(const LaneMask& live) {
-  for (const NamedTask& t : slots_[slot_]) {
-    if (t.batch) {
-      t.batch(now_, live);
-    } else {
-      t.task(now_);
-    }
-  }
-  for (const NamedTask& t : background_) {
-    if (t.batch) {
-      t.batch(now_, live);
-    } else {
-      t.task(now_);
-    }
-  }
+  for (const std::size_t index : slots_[slot_]) run_task(index, live);
+  for (const std::size_t index : background_) run_task(index, live);
   now_ += kMillisecond;
   ++slot_;
   if (slot_ == slots_.size()) {
@@ -100,7 +97,9 @@ std::vector<std::string> SlotScheduler::slot_task_names(
   PROPANE_REQUIRE(slot < slots_.size());
   std::vector<std::string> names;
   names.reserve(slots_[slot].size());
-  for (const NamedTask& t : slots_[slot]) names.push_back(t.name);
+  for (const std::size_t index : slots_[slot]) {
+    names.push_back(tasks_[index].name);
+  }
   return names;
 }
 

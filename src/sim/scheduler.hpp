@@ -96,9 +96,13 @@ class SlotScheduler {
   };
 
   void dispatch(const LaneMask& live);
+  void run_task(std::size_t index, const LaneMask& live) const;
 
-  std::vector<std::vector<NamedTask>> slots_;
-  std::vector<NamedTask> background_;
+  // Every task is stored once; slots and the background list hold indices
+  // into tasks_, so a task registered for every slot costs one copy.
+  std::vector<NamedTask> tasks_;
+  std::vector<std::vector<std::size_t>> slots_;
+  std::vector<std::size_t> background_;
   SimTime now_ = 0;
   std::size_t slot_ = 0;
   std::uint64_t cycles_ = 0;

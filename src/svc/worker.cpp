@@ -9,6 +9,7 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "obs/clock.hpp"
 #include "obs/span.hpp"
@@ -56,6 +57,14 @@ int run_worker_loop(const fi::CampaignRunner& runner,
   // the executor appends from its worker threads.
   std::atomic<std::uint64_t> lease_executed{0};
   std::atomic<std::uint64_t> lease_diverged{0};
+  // Run fingerprints by flat index, computed once (a pure function of the
+  // plan, the model and the version tokens).
+  std::vector<std::uint64_t> fingerprints;
+  if (worker.fingerprints.has_value()) {
+    fingerprints = fi::run_fingerprints(
+        config, worker.fingerprints->model, worker.fingerprints->binding,
+        worker.fingerprints->module_versions);
+  }
 
   WorkerSummary tally;
   const auto finish_session = [&] {
@@ -120,9 +129,13 @@ int run_worker_loop(const fi::CampaignRunner& runner,
       }
       if (executor == nullptr) {
         fi::CampaignHooks hooks = session->hooks();
-        hooks.on_record = [&lease_executed, &lease_diverged,
-                           append = std::move(hooks.on_record)](
+        hooks.on_record = [&lease_executed, &lease_diverged, &fingerprints,
+                           &config, append = std::move(hooks.on_record)](
                               fi::InjectionRecord& record) {
+          if (!fingerprints.empty()) {
+            record.fingerprint = fingerprints[fi::campaign_flat_index(
+                config, record.injection_index, record.test_case)];
+          }
           append(record);
           lease_executed.fetch_add(1, std::memory_order_relaxed);
           if (record.report.any_divergence()) {

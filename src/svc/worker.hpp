@@ -16,11 +16,24 @@
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
+#include <optional>
 
+#include "core/system_model.hpp"
 #include "fi/campaign.hpp"
+#include "fi/delta_campaign.hpp"
+#include "fi/estimator.hpp"
 #include "store/resume.hpp"
 
 namespace propane::svc {
+
+/// What a worker needs to content-address its records
+/// (fi/delta_campaign.hpp): the analysis model, its bus binding and the
+/// module version tokens.
+struct RecordFingerprinting {
+  core::SystemModel model;
+  fi::SignalBinding binding;
+  fi::ModuleVersionMap module_versions;
+};
 
 struct WorkerConfig {
   /// Identity the dispatcher assigned (--worker-id); woven into the shard
@@ -30,6 +43,10 @@ struct WorkerConfig {
   /// Session options (shard_count, telemetry, ...). process_count/index are
   /// ignored: range ownership comes from leases, not a modulo split.
   store::JournalRunOptions journal;
+  /// When set, every journaled record carries its run fingerprint, so the
+  /// served journal can serve as a delta baseline (`campaign delta
+  /// --baseline`). Unset, records are journaled without one.
+  std::optional<RecordFingerprinting> fingerprints;
 };
 
 struct WorkerSummary {

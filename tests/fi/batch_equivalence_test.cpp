@@ -13,7 +13,9 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -112,48 +114,43 @@ std::size_t batches_for(std::size_t lanes, std::size_t width) {
   return (lanes + width - 1) / width;
 }
 
-/// Wraps a batched runner and logs every batch it executes: how many ran
-/// in each phase, which lanes (by flat index) the settle batches left
-/// unsettled, and which lanes the finish batches carried.
-class PhaseLog {
+/// Wraps a batched runner and logs every chunk it executes: how many
+/// chunks, and which lanes (by flat index) they reported final -- each
+/// exactly once, or the log records a duplicate.
+class ChunkLog {
  public:
   fi::CampaignRunner wrap(const fi::CampaignRunner& inner) {
     return fi::CampaignRunner(
-        inner.run, [this, batch = inner.batch](
-                       const fi::BatchRunRequest& request) {
-          fi::BatchRunResult result = batch(request);
-          const std::lock_guard lock(mu_);
-          if (request.settle) {
-            ++settle_batches_;
-            for (std::size_t i = 0; i < request.lanes.size(); ++i) {
-              if (!result.settled[i]) {
-                unsettled_.insert(request.lanes[i].flat);
+        inner.run,
+        [this, batch = inner.batch](const fi::BatchRunRequest& request) {
+          {
+            const std::lock_guard lock(mu_);
+            ++chunks_;
+          }
+          fi::BatchRunRequest logged = request;
+          logged.on_final = [this, &request](std::size_t i,
+                                             fi::DivergenceReport report) {
+            {
+              const std::lock_guard lock(mu_);
+              if (!reported_.insert(request.lanes[i].flat).second) {
+                ++duplicates_;
               }
             }
-          } else {
-            finish_lane_counts_.push_back(request.lanes.size());
-            for (const fi::BatchLaneRequest& lane : request.lanes) {
-              finish_.insert(lane.flat);
-            }
-          }
-          return result;
+            request.on_final(i, std::move(report));
+          };
+          batch(logged);
         });
   }
 
-  std::size_t settle_batches() const { return settle_batches_; }
-  std::size_t finish_batches() const { return finish_lane_counts_.size(); }
-  const std::vector<std::size_t>& finish_lane_counts() const {
-    return finish_lane_counts_;
-  }
-  const std::multiset<std::size_t>& unsettled() const { return unsettled_; }
-  const std::multiset<std::size_t>& finish() const { return finish_; }
+  std::size_t chunks() const { return chunks_; }
+  std::size_t reported() const { return reported_.size(); }
+  std::size_t duplicates() const { return duplicates_; }
 
  private:
   std::mutex mu_;
-  std::size_t settle_batches_ = 0;
-  std::vector<std::size_t> finish_lane_counts_;
-  std::multiset<std::size_t> unsettled_;
-  std::multiset<std::size_t> finish_;
+  std::size_t chunks_ = 0;
+  std::set<std::size_t> reported_;
+  std::size_t duplicates_ = 0;
 };
 
 // --- Kernel-level trace identity -----------------------------------------
@@ -237,21 +234,7 @@ TEST(BatchKernel, WarmCheckpointBatchRecordsBitIdenticalLaneTraces) {
   }
 }
 
-// --- Settle stop ---------------------------------------------------------
-
-/// Per segment, the lanes of `specs` a settled batch left undecided.
-std::vector<std::vector<BatchLaneSpec>> unsettled_lanes(
-    const BatchedArrestmentSystem& batch,
-    const std::vector<std::vector<BatchLaneSpec>>& lanes) {
-  std::vector<std::vector<BatchLaneSpec>> rest(lanes.size());
-  std::size_t j = 0;
-  for (std::size_t s = 0; s < lanes.size(); ++s) {
-    for (const BatchLaneSpec& lane : lanes[s]) {
-      if (!batch.lane_final(j++)) rest[s].push_back(lane);
-    }
-  }
-  return rest;
-}
+// --- Windows and lane transplant ----------------------------------------
 
 std::vector<BatchSegment> segments_of(
     const std::vector<const ArrestmentSystem*>& origins,
@@ -263,18 +246,59 @@ std::vector<BatchSegment> segments_of(
   return segments;
 }
 
-// A batch stopped at its settle point, followed by a rerun of its
-// unsettled lanes from the same origins, yields reports bit-identical to
-// one uninterrupted run -- for every batch size, with lanes that fire
-// after the settle window, across two test-case segments.
-TEST(BatchKernel, SettleStopThenRerunMatchesUninterruptedRun) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 2);
-  const ArrestmentSystem origin0(cases[0]);
-  const ArrestmentSystem origin1(cases[1]);
-  const std::vector<const ArrestmentSystem*> origins = {&origin0, &origin1};
-  // TIC1 and ADC errors settle within the window, pulscnt and SetValue
-  // errors persist; every fifth lane fires at 40 ms, long after the
-  // 16-tick settle window of a batch starting at t=0.
+::testing::AssertionResult lane_states_identical(const LaneState& a,
+                                                 const LaneState& b) {
+  if (a.bus != b.bus) return ::testing::AssertionFailure() << "bus row";
+  const auto& x = a.env;
+  const auto& y = b.env;
+  if (x.mass_y != y.mass_y || x.mass_recip != y.mass_recip ||
+      x.velocity != y.velocity || x.position != y.position ||
+      x.pressure != y.pressure || x.pulse_accumulator != y.pulse_accumulator ||
+      x.peak_decel != y.peak_decel) {
+    return ::testing::AssertionFailure() << "environment";
+  }
+  if (a.dist_s.last_pacnt != b.dist_s.last_pacnt ||
+      a.dist_s.no_pulse_ms != b.dist_s.no_pulse_ms) {
+    return ::testing::AssertionFailure() << "DIST_S";
+  }
+  if (a.v_reg_integrator != b.v_reg_integrator) {
+    return ::testing::AssertionFailure() << "V_REG";
+  }
+  if (a.calc.seg_start_pulses != b.calc.seg_start_pulses ||
+      a.calc.seg_start_ms != b.calc.seg_start_ms ||
+      a.calc.seg_start_velocity != b.calc.seg_start_velocity ||
+      a.calc.seg_set_value != b.calc.seg_set_value ||
+      a.calc.gain != b.calc.gain) {
+    return ::testing::AssertionFailure() << "CALC";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult injection_states_identical(
+    const InjectionLaneState& a, const InjectionLaneState& b) {
+  if (auto machine = lane_states_identical(a.lane, b.lane); !machine) {
+    return machine;
+  }
+  if (a.spec.spec != b.spec.spec || a.spec.rng_seed != b.spec.rng_seed) {
+    return ::testing::AssertionFailure() << "spec";
+  }
+  if (a.pending != b.pending || a.conv_hint != b.conv_hint ||
+      a.fired != b.fired) {
+    return ::testing::AssertionFailure() << "tracking";
+  }
+  fi::DivergenceReport x;
+  fi::DivergenceReport y;
+  for (std::size_t s = 0; s < kLaneSignals; ++s) {
+    x.per_signal.push_back(a.report[s].unpack());
+    y.per_signal.push_back(b.report[s].unpack());
+  }
+  return reports_identical(x, y);
+}
+
+/// 64 lanes over two test cases: TIC1 and ADC errors settle quickly,
+/// pulscnt and SetValue errors persist; every fifth lane fires at 40 ms,
+/// long after the first window of a batch starting at t=0.
+std::vector<fi::InjectionSpec> mixed_specs() {
   const char* const targets[] = {"TIC1", "pulscnt", "ADC", "SetValue"};
   std::vector<fi::InjectionSpec> specs;
   for (std::size_t i = 0; i < 64; ++i) {
@@ -283,57 +307,149 @@ TEST(BatchKernel, SettleStopThenRerunMatchesUninterruptedRun) {
         bus_id(targets[i % 4]), fire,
         fi::bit_flip(static_cast<unsigned>(i % 16))});
   }
+  return specs;
+}
 
-  for (const std::size_t batch_size : kBatchSizes) {
-    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
-    std::vector<std::vector<BatchLaneSpec>> lanes(2);
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      lanes[i < batch_size / 2 ? 0 : 1].push_back(
-          BatchLaneSpec{&specs[i], 500 + i});
+// Storing every lane of a batch and resuming them in a fresh batch loses
+// nothing: the resumed batch stores back the same states, and both run on
+// to bit-identical reports.
+TEST(BatchKernel, TransplantRoundTripPreservesLaneState) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 2);
+  const ArrestmentSystem origin0(cases[0]);
+  const ArrestmentSystem origin1(cases[1]);
+  const std::vector<fi::InjectionSpec> specs = mixed_specs();
+  std::vector<std::vector<BatchLaneSpec>> lanes(2);
+  for (std::size_t i = 0; i < 24; ++i) {
+    lanes[i % 2].push_back(BatchLaneSpec{&specs[i], 300 + i});
+  }
+  BatchedArrestmentSystem source(segments_of({&origin0, &origin1}, lanes),
+                                 kShortRun);
+  // Past the 40 ms fire of the staggered lanes: fired and unfired lanes
+  // were both stored at 30 ms in the second round below.
+  for (const sim::SimTime stop :
+       {30 * sim::kMillisecond, 120 * sim::kMillisecond}) {
+    SCOPED_TRACE("stop=" + std::to_string(sim::to_milliseconds(stop)));
+    source.advance(stop);
+    ASSERT_EQ(source.now(), stop);
+    const LaneState golden0 = source.store_golden(0);
+    const LaneState golden1 = source.store_golden(1);
+    std::vector<InjectionLaneState> stored0;
+    std::vector<InjectionLaneState> stored1;
+    for (std::size_t j = 0; j < 24; ++j) {
+      (j < 12 ? stored0 : stored1).push_back(source.store_lane(j));
     }
-    const std::vector<BatchSegment> segments = segments_of(origins, lanes);
+    const std::vector<ResumedSegment> segments = {
+        ResumedSegment{&golden0, stored0}, ResumedSegment{&golden1, stored1}};
+    BatchedArrestmentSystem resumed(segments, stop, kShortRun);
+    EXPECT_EQ(resumed.now(), stop);
+    EXPECT_TRUE(lane_states_identical(resumed.store_golden(0), golden0));
+    EXPECT_TRUE(lane_states_identical(resumed.store_golden(1), golden1));
+    for (std::size_t j = 0; j < 24; ++j) {
+      EXPECT_TRUE(injection_states_identical(
+          resumed.store_lane(j), j < 12 ? stored0[j] : stored1[j - 12]))
+          << "lane " << j;
+    }
 
-    BatchedArrestmentSystem whole(segments, kShortRun);
+    BatchedArrestmentSystem whole(segments_of({&origin0, &origin1}, lanes),
+                                  kShortRun);
     const std::vector<fi::DivergenceReport> expected = whole.run();
-
-    BatchedArrestmentSystem settle(segments, kShortRun);
-    const std::vector<fi::DivergenceReport> settled =
-        settle.run(BatchStop::kSettle);
-    EXPECT_LE(settle.ticks_simulated(), kConvergenceCheckPeriod);
-    const std::vector<std::vector<BatchLaneSpec>> rest =
-        unsettled_lanes(settle, lanes);
-    std::vector<fi::DivergenceReport> rerun;
-    if (!rest[0].empty() || !rest[1].empty()) {
-      BatchedArrestmentSystem finish(segments_of(origins, rest), kShortRun);
-      rerun = finish.run();
-    }
-
-    std::size_t finals = 0;
-    std::size_t k = 0;
-    for (std::size_t j = 0; j < batch_size; ++j) {
-      SCOPED_TRACE("lane " + std::to_string(j));
-      if (settle.lane_final(j)) {
-        ++finals;
-        EXPECT_TRUE(reports_identical(settled[j], expected[j]));
-      } else {
-        ASSERT_LT(k, rerun.size());
-        EXPECT_TRUE(reports_identical(rerun[k++], expected[j]));
-      }
-    }
-    EXPECT_EQ(k, rerun.size());
-    if (batch_size >= 17) {
-      // Not vacuous: both kinds occur, and the late lane (spec 4, firing
-      // at 40 ms) cannot be decided in a 16-tick window.
-      EXPECT_GT(finals, 0u);
-      EXPECT_LT(finals, batch_size);
-      EXPECT_FALSE(settle.lane_final(4));
+    const std::vector<fi::DivergenceReport> got = resumed.run();
+    for (std::size_t j = 0; j < 24; ++j) {
+      EXPECT_TRUE(reports_identical(got[j], expected[j])) << "lane " << j;
     }
   }
 }
 
-// A batch whose settle window reaches the horizon stops there: every
-// lane is final, and the reports equal an uninterrupted run's.
-TEST(BatchKernel, SettleWindowReachingTheHorizonSettlesEveryLane) {
+// A batch stopped after its first window, whose live lanes are then
+// transplanted -- merged across two source batches with different lane
+// sets -- into one resumed batch, yields reports bit-identical to one
+// uninterrupted run: for every batch size, with lanes that fire after the
+// first window, across two test-case segments.
+TEST(BatchKernel, WindowedTransplantMatchesUninterruptedRun) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 2);
+  const ArrestmentSystem origin0(cases[0]);
+  const ArrestmentSystem origin1(cases[1]);
+  const std::vector<const ArrestmentSystem*> origins = {&origin0, &origin1};
+  const std::vector<fi::InjectionSpec> specs = mixed_specs();
+  const sim::SimTime window_end =
+      static_cast<sim::SimTime>(kConvergenceCheckPeriod) * sim::kMillisecond;
+
+  for (const std::size_t batch_size : kBatchSizes) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    // Two source batches over the same origins: lanes alternate between
+    // them, each splitting its lanes across the two test cases.
+    std::vector<std::vector<std::vector<BatchLaneSpec>>> lanes(
+        2, std::vector<std::vector<BatchLaneSpec>>(2));
+    for (std::size_t i = 0; i < batch_size; ++i) {
+      lanes[i % 2][i < batch_size / 2 ? 0 : 1].push_back(
+          BatchLaneSpec{&specs[i], 500 + i});
+    }
+    std::vector<std::unique_ptr<BatchedArrestmentSystem>> sources;
+    std::vector<std::vector<fi::DivergenceReport>> expected;
+    for (std::size_t b = 0; b < 2; ++b) {
+      if (lanes[b][0].empty() && lanes[b][1].empty()) continue;
+      BatchedArrestmentSystem whole(segments_of(origins, lanes[b]),
+                                    kShortRun);
+      expected.push_back(whole.run());
+      sources.push_back(std::make_unique<BatchedArrestmentSystem>(
+          segments_of(origins, lanes[b]), kShortRun));
+    }
+
+    // First window, then every live lane of both sources into one batch.
+    std::vector<InjectionLaneState> moved[2];
+    std::vector<std::pair<std::size_t, std::size_t>> origin_of[2];
+    std::optional<LaneState> goldens[2];
+    std::size_t finals = 0;
+    for (std::size_t b = 0; b < sources.size(); ++b) {
+      BatchedArrestmentSystem& source = *sources[b];
+      source.advance(window_end);
+      EXPECT_LE(source.ticks_simulated(), kConvergenceCheckPeriod);
+      std::size_t j = 0;
+      for (std::size_t s = 0; s < 2; ++s) {
+        for (std::size_t k = 0; k < lanes[b][s].size(); ++k, ++j) {
+          SCOPED_TRACE("source " + std::to_string(b) + " lane " +
+                       std::to_string(j));
+          if (!source.lane_live(j)) {
+            ++finals;
+            EXPECT_TRUE(reports_identical(source.report(j), expected[b][j]));
+            continue;
+          }
+          if (!goldens[s]) goldens[s] = source.store_golden(s);
+          moved[s].push_back(source.store_lane(j));
+          origin_of[s].emplace_back(b, j);
+        }
+      }
+    }
+    std::vector<ResumedSegment> segments;
+    std::vector<std::pair<std::size_t, std::size_t>> order;
+    for (std::size_t s = 0; s < 2; ++s) {
+      if (moved[s].empty()) continue;
+      segments.push_back(ResumedSegment{&*goldens[s], moved[s]});
+      order.insert(order.end(), origin_of[s].begin(), origin_of[s].end());
+    }
+    if (!segments.empty()) {
+      BatchedArrestmentSystem merged(segments, window_end, kShortRun);
+      const std::vector<fi::DivergenceReport> rest = merged.run();
+      ASSERT_EQ(rest.size(), order.size());
+      for (std::size_t k = 0; k < order.size(); ++k) {
+        const auto [b, j] = order[k];
+        EXPECT_TRUE(reports_identical(rest[k], expected[b][j]))
+            << "source " << b << " lane " << j;
+      }
+    }
+    if (batch_size >= 17) {
+      // Not vacuous: both kinds occur, and the late lane (spec 4, firing
+      // at 40 ms, in source 0) cannot be decided in a 16-tick window.
+      EXPECT_GT(finals, 0u);
+      EXPECT_LT(finals, batch_size);
+      EXPECT_TRUE(sources[0]->lane_live(2));
+    }
+  }
+}
+
+// A window that reaches past the horizon stops there: every lane is
+// final, and the reports equal an uninterrupted run's.
+TEST(BatchKernel, WindowReachingTheHorizonFinalisesEveryLane) {
   const TestCase test_case = grid_test_cases(1, 1)[0];
   ArrestmentSystem origin(test_case);
   RunOptions golden;
@@ -354,13 +470,15 @@ TEST(BatchKernel, SettleWindowReachingTheHorizonSettlesEveryLane) {
 
   BatchedArrestmentSystem whole(origin, lanes, kShortRun);
   const std::vector<fi::DivergenceReport> expected = whole.run();
-  BatchedArrestmentSystem settle(origin, lanes, kShortRun);
-  const std::vector<fi::DivergenceReport> settled =
-      settle.run(BatchStop::kSettle);
-  EXPECT_EQ(settle.ticks_simulated(), kLeftTicks);
+  BatchedArrestmentSystem windowed(origin, lanes, kShortRun);
+  windowed.advance(start + static_cast<sim::SimTime>(kConvergenceCheckPeriod) *
+                               sim::kMillisecond);
+  EXPECT_EQ(windowed.ticks_simulated(), kLeftTicks);
+  EXPECT_EQ(windowed.now(), kShortRun);
   for (std::size_t j = 0; j < specs.size(); ++j) {
-    EXPECT_TRUE(settle.lane_final(j)) << "lane " << j;
-    EXPECT_TRUE(reports_identical(settled[j], expected[j])) << "lane " << j;
+    EXPECT_FALSE(windowed.lane_live(j)) << "lane " << j;
+    EXPECT_TRUE(reports_identical(windowed.report(j), expected[j]))
+        << "lane " << j;
   }
 }
 
@@ -377,31 +495,30 @@ TEST(BatchCampaign, RecordsMatchScalarForEveryBatchSize) {
     config.batch_size = batch_size;
     const auto warm_stats = std::make_shared<WarmStartStats>();
     const auto stats = std::make_shared<BatchRunStats>();
-    PhaseLog log;
+    ChunkLog log;
     const fi::CampaignResult batched = fi::run_campaign(
         log.wrap(batched_campaign_runner(cases, config, kShortRun, warm_stats,
                                          stats)),
         config);
 
-    // The batch path actually executed (never-firing lanes excepted): one
-    // settle batch per batch width of the plan, then the unsettled lanes
-    // repacked densely into finish batches. Every lane is counted once,
-    // when it became final, and every live lane from exactly one origin.
+    // The batch path actually executed: one chunk per kBatchesPerChunk
+    // batch widths of the plan, every lane reported final exactly once;
+    // the live lanes (never-firing lanes sort last) packed into
+    // ceil(live / width) first-window batches, and every compaction left
+    // exactly ceil(live / width) batches at its tick. Every live lane is
+    // counted once, from exactly one origin.
     const std::size_t total =
         config.injections.size() * config.test_case_count;
-    EXPECT_EQ(log.settle_batches(), batches_for(total, batch_size));
-    EXPECT_EQ(log.finish_batches(),
-              batches_for(log.unsettled().size(), batch_size));
-    EXPECT_EQ(log.finish(), log.unsettled());
-    // A settle batch of never-firing lanes only (one per such lane at
-    // batch size 1; the plan orders them last) never reaches the kernel.
-    const std::size_t never_fire_batches =
-        batch_size == 1 ? stats->never_fire_lanes.load() : 0;
-    EXPECT_EQ(stats->batches.load() + never_fire_batches,
-              log.settle_batches() + log.finish_batches());
+    EXPECT_EQ(log.chunks(),
+              batches_for(total, batch_size * fi::kBatchesPerChunk));
+    EXPECT_EQ(log.reported(), total);
+    EXPECT_EQ(log.duplicates(), 0u);
     EXPECT_EQ(stats->batched_lanes.load() + stats->never_fire_lanes.load(),
               total);
     EXPECT_GT(stats->never_fire_lanes.load(), 0u);
+    EXPECT_EQ(stats->batches.load(),
+              batches_for(stats->batched_lanes.load(), batch_size));
+    EXPECT_EQ(stats->compaction_surplus.load(), 0u);
     EXPECT_EQ(warm_stats->warm_runs.load() + warm_stats->cold_runs.load(),
               stats->batched_lanes.load());
 
@@ -442,18 +559,19 @@ TEST(BatchCampaign, ColdBatchesMatchScalarWhenWarmStartDisabled) {
       fi::run_campaign(campaign_runner(cases, kShortRun), config);
   const auto warm_stats = std::make_shared<WarmStartStats>();
   const auto stats = std::make_shared<BatchRunStats>();
-  PhaseLog log;
+  ChunkLog log;
   const fi::CampaignResult batched = fi::run_campaign(
       log.wrap(batched_campaign_runner(cases, config, kShortRun, warm_stats,
                                        stats)),
       config);
 
-  // 12 lanes / 4 per batch settle in 3 batches; the lanes they leave
-  // undecided finish in ceil(unsettled / 4) more, also from t=0.
-  EXPECT_EQ(log.settle_batches(), 3u);
-  EXPECT_GT(log.finish_batches(), 0u);
-  EXPECT_EQ(log.finish_batches(), batches_for(log.unsettled().size(), 4));
-  EXPECT_EQ(stats->batches.load(), 3u + log.finish_batches());
+  // 12 lanes / 4 per batch start in 3 batches of one chunk, all from t=0;
+  // the lanes still live after the first window continue in compacted
+  // batches.
+  EXPECT_EQ(log.chunks(), 1u);
+  EXPECT_EQ(stats->batches.load(), 3u);
+  EXPECT_GT(stats->compactions.load(), 0u);
+  EXPECT_EQ(stats->compaction_surplus.load(), 0u);
   EXPECT_EQ(warm_stats->cold_runs.load(), 12u);
   EXPECT_EQ(warm_stats->warm_runs.load(), 0u);
   EXPECT_EQ(warm_stats->saved_ms.load(), 0u);
@@ -524,23 +642,29 @@ TEST(BatchJournal, MidBatchKillAndResumeUnderDifferentBatchSize) {
   run_journal(campaign_runner(cases, kShortRun), config, scalar_dir);
   const std::string scalar_csv = journal_csv(scalar_dir);
 
-  // "Kill" mid-campaign: the settle batches complete and journal the
-  // records they decided (the never-firing lanes among them), the first
-  // finish batch throws. The exception unwinds like a crash -- journaled
-  // records are durable, in-flight runs are lost.
+  // "Kill" mid-campaign: the chunk's first five final lanes (the
+  // never-firing ones among them) are journaled, the sixth throws. The
+  // exception unwinds like a crash -- journaled records are durable,
+  // in-flight runs are lost.
   const fs::path dir = fresh_dir("batch_resume_killed");
   const fi::CampaignRunner inner =
       batched_campaign_runner(cases, config, kShortRun);
   const fi::CampaignRunner crashing(
       inner.run, [&inner](const fi::BatchRunRequest& request) {
-        if (!request.settle) throw std::runtime_error("simulated crash");
-        return inner.batch(request);
+        fi::BatchRunRequest doomed = request;
+        auto delivered = std::make_shared<std::size_t>(0);
+        doomed.on_final = [&request, delivered](std::size_t i,
+                                                fi::DivergenceReport report) {
+          if (++*delivered > 5) throw std::runtime_error("simulated crash");
+          request.on_final(i, std::move(report));
+        };
+        inner.batch(doomed);
       });
   EXPECT_THROW(run_journal(crashing, config, dir), std::runtime_error);
   const store::CampaignDirState partial = store::scan_campaign_dir(dir);
   const std::size_t total =
       config.injections.size() * config.test_case_count;
-  EXPECT_GT(partial.completed_count, 0u);
+  EXPECT_EQ(partial.completed_count, 5u);
   EXPECT_LT(partial.completed_count, total);
 
   // Resume under a *different* batch size (the plan hash excludes it):
@@ -669,20 +793,21 @@ TEST(BatchCampaign, SparsePlanPacksAcrossTestCasesAndFireTicks) {
 
   config.batch_size = 32;
   const auto stats = std::make_shared<BatchRunStats>();
-  PhaseLog log;
+  ChunkLog log;
   const fi::CampaignResult batched = fi::run_campaign(
       log.wrap(
           batched_campaign_runner(cases, config, kShortRun, nullptr, stats)),
       config);
 
   // 24 single-lane (test case, fire tick) groups plus 2 never-fire lanes
-  // pack into ONE settle batch; the never-fire lanes are peeled before
-  // simulation. Its undecided lanes, of any fire tick and test case,
-  // pack into ONE finish batch.
-  EXPECT_EQ(log.settle_batches(), 1u);
-  EXPECT_EQ(log.finish_batches(), 1u);
-  EXPECT_EQ(log.finish(), log.unsettled());
-  EXPECT_EQ(stats->batches.load(), 2u);
+  // form ONE chunk whose live lanes pack into ONE first-window batch; the
+  // never-fire lanes are peeled before simulation. Its survivors, of any
+  // fire tick and test case, never need more than one batch either.
+  EXPECT_EQ(log.chunks(), 1u);
+  EXPECT_EQ(stats->batches.load(), 1u);
+  EXPECT_GT(stats->compactions.load(), 0u);
+  EXPECT_EQ(stats->compacted_batches.load(), stats->compactions.load());
+  EXPECT_EQ(stats->compaction_surplus.load(), 0u);
   EXPECT_EQ(stats->batched_lanes.load(), 24u);
   EXPECT_EQ(stats->never_fire_lanes.load(), 2u);
 
@@ -694,12 +819,12 @@ TEST(BatchCampaign, SparsePlanPacksAcrossTestCasesAndFireTicks) {
   }
 }
 
-// Settle-then-pack on a plan that splits cleanly: TIC1 bit flips are
-// masked within the settle window in every run, pulscnt bit flips persist
-// to the horizon in every run. Settle batches mix the two; finish batches
-// must carry exactly the pulscnt lanes, densely packed, and the kernel
-// sweeps the horizon only for them.
-TEST(BatchCampaign, FinishBatchesCarryOnlyUnsettledLanes) {
+// Windows and compaction on a plan that splits cleanly: TIC1 bit flips
+// are masked within the first window in every run, pulscnt bit flips
+// persist to the horizon in every run. First-window batches mix the two;
+// the compaction after it must carry exactly the pulscnt lanes on, densely
+// packed, so the kernel sweeps the rest of the run only for them.
+TEST(BatchCampaign, CompactionCarriesOnlyLiveLanes) {
   const std::vector<TestCase> cases = grid_test_cases(1, 2);
   fi::CampaignConfig config;
   config.test_case_count = 2;
@@ -719,38 +844,73 @@ TEST(BatchCampaign, FinishBatchesCarryOnlyUnsettledLanes) {
   obs::MetricsRegistry metrics;
   const obs::Telemetry telemetry{&metrics, nullptr, nullptr};
   const auto stats = std::make_shared<BatchRunStats>();
-  PhaseLog log;
+  ChunkLog log;
   const fi::CampaignResult batched = fi::run_campaign(
       log.wrap(batched_campaign_runner(cases, config, kShortRun, nullptr,
                                        stats, &telemetry)),
       config);
 
-  std::multiset<std::size_t> pulscnt_flats;
-  for (std::size_t flat = 0; flat < scalar.records.size(); ++flat) {
-    if (scalar.records[flat].target == pulscnt) pulscnt_flats.insert(flat);
-  }
-  ASSERT_EQ(pulscnt_flats.size(), 32u);
-  // 64 lanes settle in 4 batches of 16 (8 TIC1 + 8 pulscnt each); the 32
-  // pulscnt lanes finish in 2 full batches.
-  EXPECT_EQ(log.settle_batches(), 4u);
-  EXPECT_EQ(log.unsettled(), pulscnt_flats);
-  EXPECT_EQ(log.finish(), pulscnt_flats);
-  EXPECT_EQ(log.finish_lane_counts(), (std::vector<std::size_t>{16, 16}));
-  EXPECT_EQ(stats->batches.load(), 6u);
+  // One chunk: 64 lanes start in 4 batches of 16 (8 TIC1 + 8 pulscnt
+  // each). The 32 TIC1 lanes retire in the first window; the compaction at
+  // its end (66 ms) moves the 32 pulscnt lanes into 2 full batches, which
+  // the window boundary at 256 ms keeps as they are.
+  EXPECT_EQ(log.chunks(), 1u);
+  EXPECT_EQ(stats->batches.load(), 4u);
   EXPECT_EQ(stats->batched_lanes.load(), 64u);
   EXPECT_EQ(stats->retired_converged.load() +
                 stats->retired_exhausted.load(),
             32u);
-  // Kernel ticks: 4 settle batches of 16 ticks, then 2 finish batches from
-  // the 50 ms checkpoint to the 300 ms horizon.
+  EXPECT_EQ(stats->compactions.load(), 2u);
+  EXPECT_EQ(stats->compacted_lanes.load(), 64u);
+  EXPECT_EQ(stats->compacted_batches.load(), 4u);
+  EXPECT_EQ(stats->compaction_surplus.load(), 0u);
+  // Kernel ticks: 4 first windows of 16 ticks, then the 2 compacted
+  // batches from 66 ms to the 300 ms horizon.
+  const std::uint64_t first_window_end = 50 + kConvergenceCheckPeriod;
   EXPECT_EQ(metrics.counter("batch.kernel.ticks").value(),
-            4u * kConvergenceCheckPeriod + 2u * 250u);
+            4u * kConvergenceCheckPeriod + 2u * (300u - first_window_end));
+  EXPECT_EQ(metrics.histogram("batch.group.lanes", {}).count(), 6u);
 
   ASSERT_EQ(batched.records.size(), scalar.records.size());
   for (std::size_t r = 0; r < scalar.records.size(); ++r) {
     EXPECT_TRUE(reports_identical(batched.records[r].report,
                                   scalar.records[r].report))
         << "record " << r;
+  }
+}
+
+// Any compaction window yields the records of the scalar path: one tick
+// (a compaction after every tick), the campaign's own, and windows at and
+// far beyond the horizon (the first window's survivors run straight to
+// the end).
+TEST(BatchCampaign, RecordsMatchScalarForEveryWindow) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 2);
+  fi::CampaignConfig config = short_config();
+  const fi::CampaignResult scalar =
+      fi::run_campaign(campaign_runner(cases, kShortRun), config);
+  const std::uint64_t horizon_ms = sim::to_milliseconds(kShortRun);
+
+  for (const std::uint64_t window :
+       {std::uint64_t{1}, std::uint64_t{7}, kCompactionWindowMs, horizon_ms,
+        10 * horizon_ms}) {
+    for (const std::size_t batch_size : kBatchSizes) {
+      SCOPED_TRACE("window=" + std::to_string(window) +
+                   " batch_size=" + std::to_string(batch_size));
+      config.batch_size = batch_size;
+      const auto stats = std::make_shared<BatchRunStats>();
+      const fi::CampaignResult batched = fi::run_campaign(
+          batched_campaign_runner_with_window(window, cases, config,
+                                              kShortRun, nullptr, stats,
+                                              nullptr),
+          config);
+      EXPECT_EQ(stats->compaction_surplus.load(), 0u);
+      ASSERT_EQ(batched.records.size(), scalar.records.size());
+      for (std::size_t r = 0; r < scalar.records.size(); ++r) {
+        EXPECT_TRUE(reports_identical(batched.records[r].report,
+                                      scalar.records[r].report))
+            << "record " << r;
+      }
+    }
   }
 }
 
@@ -888,7 +1048,7 @@ TEST(BatchDelta, InvalidatedRunsExecuteThroughPackedBatches) {
   changed.module_versions =
       module_version_tokens({{"V_REG", 0x5EED5EED5EED5EEDULL}});
   const auto stats = std::make_shared<BatchRunStats>();
-  PhaseLog log;
+  ChunkLog log;
   const fs::path delta_dir = fresh_dir("batch_delta_out");
   const store::DeltaJournalSummary summary =
       store::run_delta_journaled_campaign(
@@ -899,13 +1059,12 @@ TEST(BatchDelta, InvalidatedRunsExecuteThroughPackedBatches) {
 
   EXPECT_EQ(summary.executed, 12u);  // 6 SetValue instants x 2 test cases
   EXPECT_EQ(summary.replayed, 12u);
-  // Packing proof: 12 single-lane (test case, fire tick) groups settled in
-  // ceil(12 / 8) = 2 batches, not 12, and their undecided lanes finished
-  // in ceil(unsettled / 8).
-  EXPECT_EQ(log.settle_batches(), 2u);
-  EXPECT_GT(log.finish_batches(), 0u);
-  EXPECT_EQ(log.finish_batches(), batches_for(log.unsettled().size(), 8));
-  EXPECT_EQ(stats->batches.load(), 2u + log.finish_batches());
+  // Packing proof: 12 single-lane (test case, fire tick) groups start in
+  // ceil(12 / 8) = 2 batches, not 12, and every compaction of their
+  // survivors is dense.
+  EXPECT_EQ(log.chunks(), 1u);
+  EXPECT_EQ(stats->batches.load(), 2u);
+  EXPECT_EQ(stats->compaction_surplus.load(), 0u);
   EXPECT_EQ(stats->batched_lanes.load(), 12u);
   EXPECT_EQ(journal_csv(delta_dir), cold_csv);
 }

@@ -157,6 +157,35 @@ TEST(Worker, LeasedCampaignMatchesSingleProcessByteForByte) {
   EXPECT_EQ(journal_csv(dir), journal_csv(reference));
 }
 
+// With fingerprinting configured, a leased journal replays as a delta
+// baseline exactly like a single-process one: every record carries the
+// fingerprint run_delta_journaled_campaign would have stamped.
+TEST(Worker, FingerprintedJournalServesAsADeltaBaseline) {
+  const fs::path dir = fresh_dir("worker_fingerprinted");
+  const core::SystemModel model = toy_model();
+  WorkerConfig worker = worker_config(dir);
+  worker.fingerprints =
+      RecordFingerprinting{model, toy_binding(model), {{"M", 7}}};
+  std::istringstream in("LEASE 1 0 12 0\nSHUTDOWN\n");
+  std::ostringstream out;
+  ASSERT_EQ(run_worker_loop(toy_run, toy_config(), worker, in, out), 0);
+
+  const store::ResultCache baseline = store::ResultCache::load(dir);
+  EXPECT_EQ(baseline.record_count(), 12u);
+  EXPECT_EQ(baseline.unfingerprinted(), 0u);
+
+  store::DeltaRunOptions options;
+  options.module_versions = {{"M", 7}};
+  const fs::path delta = fresh_dir("worker_fingerprinted_delta");
+  const store::DeltaJournalSummary summary =
+      store::run_delta_journaled_campaign(toy_run, toy_config(), model,
+                                          toy_binding(model), delta, baseline,
+                                          options);
+  EXPECT_EQ(summary.executed, 0u);
+  EXPECT_EQ(summary.replayed, 12u);
+  EXPECT_EQ(journal_csv(delta), journal_csv(dir));
+}
+
 TEST(Worker, RescanLeaseSkipsRunsAlreadyJournaled) {
   const fs::path dir = fresh_dir("worker_rescan");
   // Lease 2 re-covers the whole plan with rescan=1, as the dispatcher does

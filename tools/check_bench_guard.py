@@ -5,10 +5,11 @@ Two layers of checking, matching what is deterministic where:
 
   1. Lane occupancy, exactly. The batch planner is deterministic: for a
      given scale it must pack the batched/sparse/delta lane sets into the
-     minimum number of settle batches (ceil(lanes / width)), the lanes
-     those leave undecided into the minimum number of finish batches
-     (ceil(finish_lanes / width)), and the recorded lane_occupancy must
-     equal lanes / (batches * width) to the digit.
+     minimum number of first-window batches (ceil(lanes / width)), every
+     compaction between windows must leave the lanes at its tick in
+     exactly ceil(live / width) batches (compaction_surplus, the batches
+     beyond that summed over compactions, must be 0), and the recorded
+     lane_occupancy must equal lanes / (batches * width) to the digit.
      Any looseness here means the planner regressed to thinner packing
      (e.g. one batch per (test case, fire tick) group) -- that is a
      correctness bug in the plan, not machine noise, so it fails even
@@ -67,16 +68,29 @@ def check_occupancy(label: str, section: dict) -> None:
             f"width {width}; a maximal packing needs exactly {minimum} -- "
             f"the planner stopped packing across groups"
         )
-    if "finish_batches" in section:
-        finish_batches = section["finish_batches"]
-        finish_lanes = section.get("finish_lanes", 0)
-        finish_minimum = math.ceil(finish_lanes / width)
-        if finish_batches != finish_minimum:
-            fail(
-                f"{label}: {finish_lanes} undecided lane(s) repacked into "
-                f"{finish_batches} finish batch(es) of width {width}; a "
-                f"dense repack needs exactly {finish_minimum}"
-            )
+    for key in ("compactions", "compacted_lanes", "compacted_batches",
+                "compaction_surplus"):
+        if key not in section:
+            fail(f"{label}: missing field '{key}'")
+    compactions = section["compactions"]
+    compacted_lanes = section["compacted_lanes"]
+    compacted_batches = section["compacted_batches"]
+    surplus = section["compaction_surplus"]
+    if surplus != 0:
+        fail(
+            f"{label}: {compactions} compaction(s) left {surplus} batch(es) "
+            f"beyond ceil(live / {width}) at their ticks -- the runner "
+            f"stopped merging the survivors densely"
+        )
+    # The per-compaction minimum summed can only exceed the minimum of the
+    # sum; a total below it means the counters disagree with each other.
+    if compacted_batches < math.ceil(compacted_lanes / width) or (
+            compactions > 0 and compacted_batches < compactions):
+        fail(
+            f"{label}: {compacted_lanes} compacted lane(s) in "
+            f"{compacted_batches} batch(es) over {compactions} "
+            f"compaction(s) is inconsistent"
+        )
     expected = lanes / (batches * width)
     if not math.isclose(section["lane_occupancy"], expected, rel_tol=1e-9):
         fail(
@@ -85,7 +99,8 @@ def check_occupancy(label: str, section: dict) -> None:
         )
     print(
         f"check_bench_guard: {label}: occupancy {expected:.4f} "
-        f"({lanes} lane(s) / {batches} batch(es) x width {width}) -- maximal"
+        f"({lanes} lane(s) / {batches} batch(es) x width {width}) -- maximal; "
+        f"{compactions} compaction(s) dense"
     )
 
 

@@ -570,6 +570,14 @@ int cmd_campaign_worker(const CampaignArgs& args) {
   worker.journal_dir = args.journal;
   worker.journal.shard_count = args.shards;
   worker.journal.telemetry = log.telemetry();
+  // Fingerprinted like `campaign run`, so the served journal can be a
+  // delta baseline.
+  {
+    SystemModel model = arr::make_arrestment_model();
+    fi::SignalBinding binding = arr::make_arrestment_binding(model);
+    worker.fingerprints = svc::RecordFingerprinting{
+        std::move(model), std::move(binding), arr::module_version_tokens()};
+  }
 
   svc::WorkerSummary summary;
   const int code = svc::run_worker_loop(
