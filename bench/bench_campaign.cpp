@@ -511,7 +511,8 @@ int main() {
               "(%zu batches, %zu lanes, occupancy %.2f; "
               "%zu compactions, %zu compacted batches; "
               "%zu checkpoint-origin lanes, %zu t=0-origin lanes, "
-              "%zu converged-early, %zu exhausted-early, %zu never-fire, "
+              "%zu converged-early, %zu exhausted-early, %zu at-rest-early, "
+              "%zu never-fire, "
               "%llu lane-ms skipped; %.2fx vs cold)\n",
               batch.runs, batch.wall_s, batch.runs_per_s,
               batch_packing.batches, batch_packing.lanes,
@@ -520,6 +521,7 @@ int main() {
               warm_stats->cold_runs.load(),
               batch_stats->retired_converged.load(),
               batch_stats->retired_exhausted.load(),
+              batch_stats->retired_at_rest.load(),
               batch_stats->never_fire_lanes.load(),
               static_cast<unsigned long long>(
                   batch_stats->saved_lane_ms.load()),
@@ -628,6 +630,7 @@ int main() {
          << batch_stats->retired_converged.load()
          << ",\"retired_exhausted\":"
          << batch_stats->retired_exhausted.load()
+         << ",\"retired_at_rest\":" << batch_stats->retired_at_rest.load()
          << ",\"never_fire_lanes\":" << batch_stats->never_fire_lanes.load()
          << ",\"saved_lane_ms\":" << batch_stats->saved_lane_ms.load()
          << ",\"speedup_vs_cold\":" << batch.runs_per_s / cold.runs_per_s

@@ -347,6 +347,8 @@ class ChunkRun {
                                           std::memory_order_relaxed);
       stats_->retired_exhausted.fetch_add(batch.lanes_retired_exhausted(),
                                           std::memory_order_relaxed);
+      stats_->retired_at_rest.fetch_add(batch.lanes_retired_at_rest(),
+                                        std::memory_order_relaxed);
       stats_->saved_lane_ms.fetch_add(batch.saved_lane_ms(),
                                       std::memory_order_relaxed);
     }

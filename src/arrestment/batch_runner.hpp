@@ -67,10 +67,12 @@ struct BatchRunStats {
   std::atomic<std::size_t> compaction_surplus{0};
   /// Lanes retired before the horizon because they provably re-converged
   /// with the golden lane / resolved every reachable signal's first
-  /// divergence. Each lane retires at most once, in whichever batch holds
-  /// it then.
+  /// divergence / came to rest with nothing left to diverge on
+  /// (batch_system.hpp). Each lane retires at most once, in whichever
+  /// batch holds it then.
   std::atomic<std::size_t> retired_converged{0};
   std::atomic<std::size_t> retired_exhausted{0};
+  std::atomic<std::size_t> retired_at_rest{0};
   /// Lanes answered without simulation (injection never fires).
   std::atomic<std::size_t> never_fire_lanes{0};
   /// Simulated lane-milliseconds avoided (early exit + never-fire + the

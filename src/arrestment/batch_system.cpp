@@ -60,6 +60,11 @@ std::uint64_t diff_bits(const std::uint16_t* row, std::uint16_t golden,
   return bits;
 }
 
+/// What the rest loop carries from one tick to the next on the bus: its
+/// own signals and the slot number PRES_S dispatches on.
+constexpr SignalSet kRestLoopState =
+    kRestLoopSignals | signal_set({kSigMsSlotNbr});
+
 const ArrestmentSystem& primary_origin(
     std::span<const BatchSegment> segments) {
   PROPANE_REQUIRE_MSG(!segments.empty(), "batch needs at least one segment");
@@ -271,9 +276,7 @@ InjectionLaneState BatchedArrestmentSystem::store_lane(std::size_t i) const {
   state.spec = specs_[i];
   std::copy_n(divergences_.begin() + static_cast<std::ptrdiff_t>(i * signals_),
               signals_, state.report.begin());
-  for (std::size_t sig = 0; sig < signals_; ++sig) {
-    if (pending_[sig].test(i)) state.pending |= SignalSet{1} << sig;
-  }
+  state.pending = pending_signals(i);
   state.conv_hint = conv_hint_[i];
   state.fired = fired_[i] != 0;
   return state;
@@ -602,17 +605,54 @@ void BatchedArrestmentSystem::note_divergences(std::size_t sig,
     d.golden_value = row[spec_golden_[j]];
     d.observed_value = row[spec_lane_[j]];
     if (--undiverged_[j] == 0 && !recording_ && active_.test(j)) {
-      retire(j, ms, /*was_converged=*/false);
+      retire(j, ms, Retirement::kExhausted);
     }
   }
+}
+
+SignalSet BatchedArrestmentSystem::pending_signals(std::size_t j) const {
+  SignalSet pending = 0;
+  for (std::size_t sig = 0; sig < signals_; ++sig) {
+    if (pending_[sig].test(j)) pending |= SignalSet{1} << sig;
+  }
+  return pending;
+}
+
+bool BatchedArrestmentSystem::at_rest(std::size_t lane) const {
+  return env_.lane_velocity(lane) == 0.0 &&
+         dist_s_.lane_snapshot(lane).no_pulse_ms >= kStoppedGapMs;
+}
+
+bool BatchedArrestmentSystem::final_at_rest(std::size_t j,
+                                            std::uint64_t ms) const {
+  const std::size_t lane = spec_lane_[j];
+  const std::size_t golden = spec_golden_[j];
+  if (!at_rest(lane) || !at_rest(golden)) return false;
+  // A lane fires in its injection's fire tick, or in the first tick of the
+  // batch that seats it, which is never a check tick.
+  if (fi::injection_fire_ms(specs_[j].spec->when) >= ms) return false;
+  if ((pending_signals(j) & kRestLoopSignals) == 0) return true;
+  // The rest loop's state: what PRES_S, V_REG, PRES_A and the brake read
+  // next, with SetValue at 0 in both lanes.
+  if (env_.lane_pressure(lane) != env_.lane_pressure(golden)) return false;
+  if (!v_reg_.lane_equals(lane, golden)) return false;
+  for (SignalSet state = kRestLoopState; state != 0; state &= state - 1) {
+    const auto id = static_cast<fi::BusSignalId>(__builtin_ctzll(state));
+    if (bus_.read(id, lane) != bus_.read(id, golden)) return false;
+  }
+  return true;
 }
 
 void BatchedArrestmentSystem::check_convergence(sim::SimTime now) {
   const std::uint64_t ms = sim::to_milliseconds(now);
   active_.for_each([&](std::size_t j) {
-    // Only a lane whose injection has fired may retire as converged: before
-    // the fire, lane state trivially equals its golden lane's.
+    // Only a lane whose injection has fired may retire as converged or at
+    // rest: before the fire, lane state trivially equals its golden lane's.
     if (!fired_[j]) return;
+    if (final_at_rest(j, ms)) {
+      retire(j, ms, Retirement::kAtRest);
+      return;
+    }
     const std::size_t lane = spec_lane_[j];
     const std::size_t golden = spec_golden_[j];
     // A lane carrying a persistent error keeps mismatching on the same
@@ -634,22 +674,28 @@ void BatchedArrestmentSystem::check_convergence(sim::SimTime now) {
     // Complete state (bus + module-internal + bus-feeding environment)
     // equals the segment's golden lane: every future sample coincides, so
     // the report is final.
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      if (pending_[sig].test(j)) pending_[sig].reset(j);
-    }
-    undiverged_[j] = 0;
-    retire(j, ms, /*was_converged=*/true);
+    retire(j, ms, Retirement::kConverged);
   });
 }
 
 void BatchedArrestmentSystem::retire(std::size_t lane, std::uint64_t now_ms,
-                                     bool was_converged) {
+                                     Retirement reason) {
+  // The report is final: nothing is pending any more, so the screen skips
+  // the lane.
+  for (std::size_t sig = 0; sig < signals_; ++sig) pending_[sig].reset(lane);
+  undiverged_[lane] = 0;
   active_.reset(lane);
   --active_count_;
-  if (was_converged) {
-    ++converged_;
-  } else {
-    ++exhausted_;
+  switch (reason) {
+    case Retirement::kExhausted:
+      ++exhausted_;
+      break;
+    case Retirement::kConverged:
+      ++converged_;
+      break;
+    case Retirement::kAtRest:
+      ++at_rest_;
+      break;
   }
   const std::uint64_t fire_ms = fi::injection_fire_ms(specs_[lane].spec->when);
   retirement_ticks_.push_back(now_ms >= fire_ms ? now_ms - fire_ms : 0);

@@ -28,7 +28,18 @@
 //     alone, and the screen skips a signal no lane of the batch can reach;
 //   * converged: the lane's complete bus, module-internal and
 //     bus-observable environment state equals the golden lane's, so all
-//     its future samples equal the golden suffix.
+//     its future samples equal the golden suffix;
+//   * at rest: the lane and its golden lane are both at rest -- velocity
+//     exactly 0 and no pulse for kStoppedGapMs -- and either none of the
+//     lane's pending signals lies in the rest loop (arr/dataflow.hpp) or
+//     its rest-loop state (brake pressure, V_REG integrator and the bus
+//     values of ms_slot_nbr and the rest loop) equals the golden lane's.
+//     Rest is absorbing: from then on the motion signals stay constant
+//     and SetValue stays 0, so the rest loop is closed and deterministic,
+//     the other signals evolve on their own, and a pending signal -- equal
+//     to its golden value now -- stays equal. A lane waits one check
+//     after the tick its injection fired in: a read-site injection lands
+//     after DIST_S and before CALC, so its effect shows on the next tick.
 // Retired lanes may still be touched by the branch-free module sweeps
 // (their state is dead); the simulation stops once every injection lane
 // retired or the horizon is reached.
@@ -199,6 +210,7 @@ class BatchedArrestmentSystem {
   // Post-run observability.
   std::size_t lanes_retired_converged() const { return converged_; }
   std::size_t lanes_retired_exhausted() const { return exhausted_; }
+  std::size_t lanes_retired_at_rest() const { return at_rest_; }
   /// Lane-milliseconds not simulated thanks to early exit.
   std::uint64_t saved_lane_ms() const { return saved_lane_ms_; }
   /// Scheduler slots actually executed (one per simulated millisecond);
@@ -253,7 +265,15 @@ class BatchedArrestmentSystem {
   void note_divergences(std::size_t sig, std::size_t base,
                         std::uint64_t newly, std::uint64_t ms);
   void check_convergence(sim::SimTime now);
-  void retire(std::size_t lane, std::uint64_t now_ms, bool was_converged);
+  /// The signals injection lane `j` still waits on.
+  SignalSet pending_signals(std::size_t j) const;
+  /// Bus lane `lane` is at rest: velocity exactly 0, no pulse for
+  /// kStoppedGapMs.
+  bool at_rest(std::size_t lane) const;
+  /// The rest rule for injection lane `j` (see the header comment).
+  bool final_at_rest(std::size_t j, std::uint64_t now_ms) const;
+  enum class Retirement : std::uint8_t { kExhausted, kConverged, kAtRest };
+  void retire(std::size_t lane, std::uint64_t now_ms, Retirement reason);
 
   void record_rows();
 
@@ -298,6 +318,7 @@ class BatchedArrestmentSystem {
   // Early-exit accounting.
   std::size_t converged_ = 0;
   std::size_t exhausted_ = 0;
+  std::size_t at_rest_ = 0;
   std::uint64_t saved_lane_ms_ = 0;
   std::vector<std::uint64_t> retirement_ticks_;
 

@@ -21,12 +21,24 @@
 // still-undiverged signals all lie outside its target's closure can
 // therefore never change its report -- the batched kernel's reachability
 // retirement (batch_system.hpp).
+//
+// Two named sets split the bus once the aircraft is at rest (velocity
+// exactly 0 and no pulse for kStoppedGapMs): the motion signals stay
+// constant from then on -- velocity 0 is absorbing, so no pulse arrives
+// and CALC, seeing `stopped`, writes SetValue = 0 on every tick -- and the
+// rest loop is what still moves: the brake pressure settling under
+// SetValue = 0 (PRES_S also reads ms_slot_nbr). The three remaining
+// signals (TCNT, mscnt, ms_slot_nbr) read only themselves or time. The
+// batched kernel's rest retirement rests on this split.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
+#include "arrestment/signals.hpp"
 #include "fi/signal_bus.hpp"
 
 namespace propane::arr {
@@ -49,6 +61,31 @@ const std::vector<SignalDataflow>& dataflow_table();
 /// A set of canonical bus signals: bit `id` for bus id `id` (build_bus
 /// assigns ids in kAllSignals order).
 using SignalSet = std::uint64_t;
+
+/// The set of the named canonical signals; a name that is not one does
+/// not compile.
+consteval SignalSet signal_set(std::initializer_list<std::string_view> names) {
+  SignalSet set = 0;
+  for (const std::string_view name : names) {
+    std::size_t s = 0;
+    while (s < kAllSignals.size() && kAllSignals[s] != name) ++s;
+    if (s == kAllSignals.size()) {
+      throw std::invalid_argument("not a canonical signal");
+    }
+    set |= SignalSet{1} << s;
+  }
+  return set;
+}
+
+/// Constant while the aircraft is at rest (SetValue at 0).
+inline constexpr SignalSet kMotionSignals =
+    signal_set({kSigPacnt, kSigTic1, kSigPulscnt, kSigSlowSpeed, kSigStopped,
+                kSigI, kSigSetValue});
+
+/// The pressure loop that still settles at rest: closed but for SetValue
+/// (0 at rest) and PRES_S's slot number.
+inline constexpr SignalSet kRestLoopSignals =
+    signal_set({kSigAdc, kSigInValue, kSigOutValue, kSigToc2});
 
 /// The signals an error in `target` can reach: the target itself plus
 /// every signal that reads, directly or transitively, a signal of the set.

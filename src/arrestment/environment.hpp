@@ -40,6 +40,8 @@ class Environment {
   double pressure_pa() const { return pressure_; }
   double peak_decel() const { return peak_decel_; }
   bool at_rest() const { return velocity_ <= 0.0; }
+  /// Moves the cable payout (tests: position feeds no bus signal).
+  void set_position(double metres) { position_ = metres; }
 
   /// True when the two environments are indistinguishable *through the
   /// bus* from now on: equal velocity, applied pressure, and fractional
@@ -106,6 +108,8 @@ class BatchedEnvironment {
             peak_decel_[lane]};
   }
   void load_lane(std::size_t lane, const LaneState& state);
+  double lane_velocity(std::size_t lane) const { return velocity_[lane]; }
+  double lane_pressure(std::size_t lane) const { return pressure_[lane]; }
   /// Seeds one lane with `origin`'s physical state.
   void load_lane(std::size_t lane, const Environment& origin);
 

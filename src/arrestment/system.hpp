@@ -103,6 +103,11 @@ class ArrestmentSystem {
   const CalcModule& calc() const { return calc_; }
   const VRegModule& v_reg() const { return v_reg_; }
 
+  /// Test seam: state the bus does not carry (the cable payout, DIST_S's
+  /// pulse baseline), for tests that perturb it.
+  Environment& mutable_environment() { return env_; }
+  DistSModule& mutable_dist_s() { return dist_s_; }
+
  private:
   fi::SignalBus bus_;
   BusMap map_;

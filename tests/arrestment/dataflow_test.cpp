@@ -123,6 +123,30 @@ TEST(Dataflow, ForwardClosuresLeaveOutTheFreeRunningCounters) {
   }
 }
 
+// The split behind the kernel's rest retirement (batch_system.hpp): the
+// motion signals and the rest loop are disjoint, the rest loop reads only
+// itself, SetValue (0 at rest) and the slot number PRES_S dispatches on,
+// and every signal in neither set reads only itself.
+TEST(Dataflow, RestLoopIsClosedButForSetValueAndTheSlotNumber) {
+  EXPECT_EQ(kMotionSignals & kRestLoopSignals, 0u);
+  const SignalSet loop_inputs =
+      kRestLoopSignals | set_of({"SetValue", "ms_slot_nbr"});
+  std::size_t free_running = 0;
+  for (const SignalDataflow& entry : dataflow_table()) {
+    SCOPED_TRACE(std::string(entry.signal));
+    const SignalSet self = set_of({entry.signal});
+    SignalSet reads = 0;
+    for (const std::string_view read : entry.reads) reads |= set_of({read});
+    if ((self & kRestLoopSignals) != 0) {
+      EXPECT_EQ(reads & ~loop_inputs, 0u);
+    } else if ((self & kMotionSignals) == 0) {
+      EXPECT_EQ(reads & ~self, 0u);
+      ++free_running;
+    }
+  }
+  EXPECT_EQ(free_running, 3u);  // TCNT, mscnt, ms_slot_nbr
+}
+
 /// A writer of bus signals, runnable on its own: fresh state per run.
 struct Writer {
   std::string_view name;

@@ -914,6 +914,100 @@ TEST(BatchCampaign, RecordsMatchScalarForEveryWindow) {
   }
 }
 
+// Lanes that retire at rest (batch_system.hpp) keep the cold oracle's
+// records, over the paper's 25 test cases and the full horizon, for a
+// compaction after every tick, the campaign's window and one window past
+// the horizon. The plan fires late: every target at bits 0, 7 and 15 at
+// 4,500 and 5,000 ms, while most aircraft still move and rest comes
+// later. Test case 0 comes to rest at 4,969 ms with the brake pressure
+// still decaying: a tick-start flip of TOC2's bit 5 there kicks the
+// pressure by less than one ADC step and PRES_A restores TOC2 within the
+// tick, so the lane differs from its golden lane in pressure alone until
+// ADC diverges later.
+TEST(BatchCampaign, LanesRetiredAtRestMatchTheColdOracle) {
+  const std::vector<TestCase> cases = paper_test_cases();
+  fi::CampaignConfig config;
+  config.test_case_count = static_cast<std::uint32_t>(cases.size());
+  config.seed = 0x4E57;
+  config.batch_size = 64;
+  for (const fi::BusSignalId target : injection_target_bus_ids()) {
+    for (const unsigned bit : {0u, 7u, 15u}) {
+      for (const std::uint64_t when_ms : {4500u, 5000u}) {
+        config.injections.push_back(fi::InjectionSpec{
+            target, static_cast<sim::SimTime>(when_ms) * sim::kMillisecond,
+            fi::bit_flip(bit)});
+      }
+    }
+  }
+  for (std::uint64_t when_ms = 4980; when_ms <= 5100; when_ms += 10) {
+    config.injections.push_back(fi::InjectionSpec{
+        bus_id("TOC2"), static_cast<sim::SimTime>(when_ms) * sim::kMillisecond,
+        fi::bit_flip(5)});
+  }
+  const fi::CampaignResult scalar =
+      fi::run_campaign(campaign_runner(cases), config);
+
+  for (const std::uint64_t window :
+       {std::uint64_t{1}, kCompactionWindowMs,
+        2 * sim::to_milliseconds(kRunDuration)}) {
+    SCOPED_TRACE("window=" + std::to_string(window));
+    const auto stats = std::make_shared<BatchRunStats>();
+    const fi::CampaignResult batched = fi::run_campaign(
+        batched_campaign_runner_with_window(window, cases, config,
+                                            kRunDuration, nullptr, stats,
+                                            nullptr),
+        config);
+    EXPECT_GT(stats->retired_at_rest.load(), 0u);
+    ASSERT_EQ(batched.records.size(), scalar.records.size());
+    for (std::size_t r = 0; r < scalar.records.size(); ++r) {
+      EXPECT_TRUE(reports_identical(batched.records[r].report,
+                                    scalar.records[r].report))
+          << "record " << r;
+    }
+  }
+}
+
+// A lane may not retire at rest at the end of the tick its injection fired
+// in: a read-site flip of PACNT lands after DIST_S saw no pulse, so the
+// lane still looks at rest then and leaves rest on the next tick. A batch
+// started from the golden run at 13,000 ms, with the aircraft at rest,
+// runs its first convergence check at the end of 13,015 ms, the tick these
+// lanes fire in; their reports must equal the cold oracle's.
+TEST(BatchKernel, LaneAtRestWaitsOutTheTickItsInjectionFiredIn) {
+  const TestCase test_case = paper_test_cases()[0];
+  const sim::SimTime start = 13000 * sim::kMillisecond;
+  ArrestmentSystem origin(test_case);
+  while (origin.now() < start) origin.tick(RunOptions{});
+  const sim::SimTime fire =
+      start +
+      static_cast<sim::SimTime>(kConvergenceCheckPeriod - 1) * sim::kMillisecond;
+  std::vector<fi::InjectionSpec> specs;
+  for (const std::string_view target : {"PACNT", "stopped"}) {
+    for (const unsigned bit : {0u, 7u}) {
+      specs.push_back(fi::InjectionSpec{bus_id(target), fire,
+                                        fi::bit_flip(bit),
+                                        fi::InjectionPhase::kPreBackground});
+    }
+  }
+  std::vector<BatchLaneSpec> lanes;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    lanes.push_back(BatchLaneSpec{&specs[i], 1100 + i});
+  }
+  BatchedArrestmentSystem batch(origin, lanes, kRunDuration);
+  const std::vector<fi::DivergenceReport> reports = batch.run();
+
+  const RunOutcome golden = run_arrestment(test_case);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    RunOptions options;
+    options.injection = specs[i];
+    options.rng_seed = 1100 + i;
+    const RunOutcome scalar = run_arrestment(test_case, options);
+    EXPECT_TRUE(reports_identical(
+        reports[i], fi::compare_to_golden(golden.trace, scalar.trace)))
+        << "lane " << i;
+  }
+}
+
 TEST(BatchCampaign, NeverFirePlanAnswersWithoutSimulation) {
   const std::vector<TestCase> cases = grid_test_cases(1, 2);
   fi::CampaignConfig config;

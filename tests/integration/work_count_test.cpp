@@ -1,7 +1,7 @@
 // Exact work counts of the journaled batch campaign at the CLI's small and
 // default scales. Unlike a runs/s floor, these counts do not depend on the
 // host, its load or its thread count -- the chunking, the batch packing,
-// the windows and the retirement rule are all deterministic -- so a
+// the windows and the retirement rules are all deterministic -- so a
 // packing, compaction or retirement regression moves one of them exactly.
 // An intended change updates them here and says why.
 #include <gtest/gtest.h>
@@ -32,6 +32,7 @@ struct WorkCounts {
   std::size_t compaction_surplus = 0;
   std::size_t retired_converged = 0;
   std::size_t retired_exhausted = 0;
+  std::size_t retired_at_rest = 0;
   std::uint64_t journal_flushes = 0;
   std::size_t executed = 0;
 };
@@ -72,6 +73,7 @@ WorkCounts run_scale(const exp::ExperimentScale& scale, std::size_t threads) {
   counts.compaction_surplus = stats->compaction_surplus.load();
   counts.retired_converged = stats->retired_converged.load();
   counts.retired_exhausted = stats->retired_exhausted.load();
+  counts.retired_at_rest = stats->retired_at_rest.load();
   counts.journal_flushes = metrics.counter("journal.flushes").value();
   counts.executed = summary.executed;
   return counts;
@@ -87,6 +89,7 @@ void expect_counts(const WorkCounts& got, const WorkCounts& want) {
   EXPECT_EQ(got.compaction_surplus, 0u);
   EXPECT_EQ(got.retired_converged, want.retired_converged);
   EXPECT_EQ(got.retired_exhausted, want.retired_exhausted);
+  EXPECT_EQ(got.retired_at_rest, want.retired_at_rest);
   EXPECT_EQ(got.journal_flushes, want.journal_flushes);
 }
 
@@ -96,13 +99,14 @@ void expect_counts(const WorkCounts& got, const WorkCounts& want) {
 TEST(WorkCounts, SmallScaleCampaignIsPinned) {
   WorkCounts want;
   want.executed = 104;
-  want.kernel_ticks = 24608;
-  want.lut_gathers = 626408;
-  want.kernel_batches = 27;
+  want.kernel_ticks = 20888;
+  want.lut_gathers = 553064;
+  want.kernel_batches = 26;
   want.plan_batches = 4;
-  want.compactions = 57;
+  want.compactions = 43;
   want.retired_converged = 44;
   want.retired_exhausted = 41;
+  want.retired_at_rest = 19;
   want.journal_flushes = 108;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -114,13 +118,14 @@ TEST(WorkCounts, SmallScaleCampaignIsPinned) {
 TEST(WorkCounts, DefaultScaleCampaignIsPinned) {
   WorkCounts want;
   want.executed = 2496;
-  want.kernel_ticks = 467652;
-  want.lut_gathers = 14602416;
-  want.kernel_batches = 322;
+  want.kernel_ticks = 293179;
+  want.lut_gathers = 8967250;
+  want.kernel_batches = 321;
   want.plan_batches = 78;
-  want.compactions = 258;
+  want.compactions = 209;
   want.retired_converged = 1004;
   want.retired_exhausted = 734;
+  want.retired_at_rest = 757;
   want.journal_flushes = 2500;
   expect_counts(run_scale(exp::default_scale(), 2), want);
 }
