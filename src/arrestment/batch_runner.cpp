@@ -1,6 +1,7 @@
 #include "arrestment/batch_runner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <utility>
 
@@ -69,14 +70,15 @@ struct Group {
   std::vector<std::size_t> lane_segment;
   /// Per segment: its test case.
   std::vector<std::uint32_t> segment_case;
-  /// Per injection lane: reported final already.
-  std::vector<std::uint8_t> reported;
-  /// Injection lanes not reported yet.
-  std::size_t live = 0;
+  /// Injection lanes not reported final yet, one bit each (spec order).
+  std::uint64_t live = 0;
 
+  std::size_t live_count() const {
+    return static_cast<std::size_t>(std::popcount(live));
+  }
   /// No lane retired since the batch was built: moving its lanes frees no
   /// sweep.
-  bool clean() const { return live == reported.size(); }
+  bool clean() const { return live == first_lanes(request_index.size()); }
 };
 
 /// `count` lanes split into segments by test case, in first-appearance
@@ -275,8 +277,7 @@ class ChunkRun {
     }
     group.batch = std::make_unique<BatchedArrestmentSystem>(
         segments, engine_.duration());
-    group.reported.assign(group.request_index.size(), 0);
-    group.live = group.request_index.size();
+    group.live = first_lanes(group.request_index.size());
 
     if (warm_stats_ != nullptr) {
       if (warm) {
@@ -302,18 +303,18 @@ class ChunkRun {
   /// compaction removes), the others wait for the compaction to decide.
   void add_to_pool(Group group) {
     Pool& pool = pool_;
-    for (std::size_t j = 0; j < group.reported.size(); ++j) {
-      if (group.reported[j] || group.batch->lane_live(j)) continue;
-      group.reported[j] = 1;
-      --group.live;
+    for (std::uint64_t lanes = group.live; lanes != 0; lanes &= lanes - 1) {
+      const auto j = static_cast<std::size_t>(std::countr_zero(lanes));
+      if (group.batch->lane_live(j)) continue;
+      group.live &= ~(std::uint64_t{1} << j);
       request_.on_final(group.request_index[j], group.batch->report(j));
     }
-    pool.live += group.live;
+    pool.live += group.live_count();
     if (group.live == 0) {
       close(group);
     } else if (!group.clean()) {
       take_apart(group);
-    } else if (group.live == width_) {
+    } else if (group.live_count() == width_) {
       pool.full.push_back(std::move(group));
     } else {
       pool.partial.push_back(std::move(group));
@@ -325,8 +326,8 @@ class ChunkRun {
   void take_apart(Group& group) {
     Pool& pool = pool_;
     const BatchedArrestmentSystem& batch = *group.batch;
-    for (std::size_t j = 0; j < group.reported.size(); ++j) {
-      if (group.reported[j]) continue;
+    for (std::uint64_t lanes = group.live; lanes != 0; lanes &= lanes - 1) {
+      const auto j = static_cast<std::size_t>(std::countr_zero(lanes));
       const std::size_t s = group.lane_segment[j];
       const std::uint32_t tc = group.segment_case[s];
       pool.moved.push_back({group.request_index[j], tc, batch.store_lane(j)});
@@ -364,7 +365,9 @@ class ChunkRun {
     Pool& pool = pool_;
     if (pool.live == 0) return;
     std::size_t partial_live = 0;
-    for (const Group& group : pool.partial) partial_live += group.live;
+    for (const Group& group : pool.partial) {
+      partial_live += group.live_count();
+    }
     const std::size_t kept_partial =
         pool.moved.empty() &&
                 pool.partial.size() <= (partial_live + width_ - 1) / width_
@@ -418,8 +421,7 @@ class ChunkRun {
       }
       group.batch = std::make_unique<BatchedArrestmentSystem>(
           segments, now, engine_.duration());
-      group.reported.assign(group.request_index.size(), 0);
-      group.live = group.request_index.size();
+      group.live = first_lanes(group.request_index.size());
       groups_.push_back(std::move(group));
       ++built;
     }
@@ -477,6 +479,8 @@ fi::CampaignRunner batched_campaign_runner_with_window(
     const obs::Telemetry* telemetry) {
   PROPANE_REQUIRE(!test_cases.empty());
   PROPANE_REQUIRE_MSG(window_ms > 0, "compaction window must be >= 1 ms");
+  PROPANE_REQUIRE_MSG(config.batch_size <= kMaxBatchLanes,
+                      "batch_size must be 1-64 (0 = the default)");
   auto engine = std::make_shared<WarmStartEngine>(std::move(test_cases),
                                                   config, duration);
   return fi::CampaignRunner(

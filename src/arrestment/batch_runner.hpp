@@ -86,6 +86,8 @@ struct BatchRunStats {
 /// which captures the checkpoints the batches start from. Results, records
 /// and journal CSVs are bit-identical to the cold oracle (campaign_runner)
 /// for every batch size -- enforced by tests/fi/batch_equivalence_test.cpp.
+/// `config.batch_size` may be at most kMaxBatchLanes (batch_system.hpp);
+/// a wider one is a ContractViolation here, before any run.
 ///
 /// `warm_stats` (optional) counts each live lane once by the origin of the
 /// batch that started it -- checkpoint or t=0 -- and the prefix
@@ -96,8 +98,8 @@ struct BatchRunStats {
 ///                             (plan-packed and compacted alike);
 ///   batch.retire.ticks     -- histogram, ticks from a lane's fire tick to
 ///                             its retirement (early-exit latency);
-///   batch.kernel.ticks     -- counter, scheduler slots executed, summed
-///                             over kernel batches;
+///   batch.kernel.ticks     -- counter, ticks simulated, summed over
+///                             kernel batches;
 ///   batch.kernel.lut_gathers / batch.kernel.exact_div_ops -- counters,
 ///     kernel work derived from ticks x lanes (the environment sweep does
 ///     one commanded-pressure LUT gather and four ExactDivisor divides per

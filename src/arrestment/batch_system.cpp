@@ -17,10 +17,10 @@ namespace propane::arr {
 namespace {
 
 /// Bit `l` of the result is set iff `row[l] != golden`, for `l` in
-/// [0, n); n <= 64. Each batch segment screens its own lane sub-row
-/// against its own golden value, so cross-test-case batches reuse this
-/// single compare kernel unchanged -- per-lane golden bases reduce to a
-/// per-segment base pointer plus broadcast golden. The divergence scan
+/// [0, n); n <= kMaxBatchLanes. Each batch segment screens its own lane
+/// sub-row against its own golden value, so cross-test-case batches reuse
+/// this single compare kernel unchanged -- per-lane golden bases reduce to
+/// a per-segment base pointer plus broadcast golden. The divergence scan
 /// intersects the result with the pending mask, so the per-lane
 /// bookkeeping only runs for lanes that diverge on this very tick --
 /// almost always none.
@@ -28,21 +28,7 @@ std::uint64_t diff_bits(const std::uint16_t* row, std::uint16_t golden,
                         std::size_t n) {
   std::uint64_t bits = 0;
   std::size_t l = 0;
-#if defined(__AVX512BW__)
-  // One masked word-compare covers up to 32 lanes; the mask both
-  // suppresses the tail load and zeroes tail compare bits.
-  const __m512i g512 = _mm512_set1_epi16(static_cast<short>(golden));
-  for (; l < n; l += 32) {
-    const std::size_t left = n - l;
-    const __mmask32 m = left >= 32
-                            ? ~__mmask32{0}
-                            : static_cast<__mmask32>((1u << left) - 1);
-    const __m512i v = _mm512_maskz_loadu_epi16(m, row + l);
-    bits |= static_cast<std::uint64_t>(
-                _mm512_mask_cmpneq_epu16_mask(m, v, g512))
-            << l;
-  }
-#elif defined(__AVX2__) && defined(__BMI2__)
+#if defined(__AVX2__) && defined(__BMI2__)
   const __m256i g = _mm256_set1_epi16(static_cast<short>(golden));
   for (; l + 16 <= n; l += 16) {
     const __m256i v =
@@ -86,11 +72,6 @@ std::size_t total_lanes(std::span<const Segment> segments) {
   return lanes;
 }
 
-std::size_t resumed_signal_count(std::span<const ResumedSegment> segments) {
-  PROPANE_REQUIRE_MSG(!segments.empty(), "batch needs at least one segment");
-  return kLaneSignals;
-}
-
 }  // namespace
 
 BatchedArrestmentSystem::BatchedArrestmentSystem(
@@ -102,15 +83,12 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
 
 BatchedArrestmentSystem::BatchedArrestmentSystem(std::size_t lanes,
                                                  std::size_t segments,
-                                                 std::size_t signals,
                                                  sim::SimTime duration)
     : lanes_(lanes),
-      signals_(signals),
       map_(arrestment_bus_map()),
       duration_(duration),
       duration_ms_(sim::to_milliseconds(duration)),
-      bus_(signals, lanes),
-      scheduler_(kSlotCount),
+      bus_(kLaneSignals, lanes),
       env_(map_, lanes),
       clock_(map_),
       dist_s_(map_, lanes),
@@ -118,35 +96,27 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(std::size_t lanes,
       pres_a_(map_),
       v_reg_(map_, lanes),
       calc_(map_, lanes) {
-  PROPANE_REQUIRE_MSG(signals_ == kLaneSignals,
-                      "batches run the arrestment bus layout");
   PROPANE_REQUIRE_MSG(duration_ms_ < std::uint64_t{0xFFFFFFFF},
                       "divergence ticks are kept in 32 bits");
   PROPANE_REQUIRE_MSG(lanes_ > segments, "batch needs at least one injection");
   const std::size_t specs = lanes_ - segments;
+  PROPANE_REQUIRE_MSG(specs <= kMaxBatchLanes,
+                      "a batch holds at most 64 injection lanes");
   segments_.reserve(segments);
   specs_.reserve(specs);
   spec_lane_.reserve(specs);
   spec_golden_.reserve(specs);
-  fired_.reserve(specs);
-  divergences_.reserve(specs * signals_);
+  divergences_.reserve(specs * kLaneSignals);
   undiverged_.reserve(specs);
   conv_hint_.reserve(specs);
-  pending_.reserve(signals_);
-  for (std::size_t sig = 0; sig < signals_; ++sig) {
-    pending_.emplace_back(specs);
-  }
-  active_ = sim::LaneMask(specs, /*set=*/true);
-  active_count_ = specs;
+  active_ = first_lanes(specs);
   retirement_ticks_.reserve(specs);
-  screen_words_.resize((specs + 63) / 64);
 }
 
 BatchedArrestmentSystem::BatchedArrestmentSystem(
     std::span<const BatchSegment> segments, sim::SimTime duration)
-    : BatchedArrestmentSystem(
-          total_lanes(segments), segments.size(),
-          primary_origin(segments).bus().signal_count(), duration) {
+    : BatchedArrestmentSystem(total_lanes(segments), segments.size(),
+                              duration) {
   const ArrestmentSystem& origin0 = primary_origin(segments);
   PROPANE_REQUIRE_MSG(origin0.now() < duration,
                       "batch origin must precede the horizon");
@@ -156,13 +126,13 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
     const ArrestmentSystem& origin = *segment.origin;
     PROPANE_REQUIRE_MSG(origin.now() == origin0.now(),
                         "batch segments must share the origin tick");
-    PROPANE_REQUIRE_MSG(origin.bus().signal_count() == signals_,
-                        "batch segments must share the bus layout");
+    PROPANE_REQUIRE_MSG(origin.bus().signal_count() == kLaneSignals,
+                        "batches run the arrestment bus layout");
     open_segment();
     load_machine(segments_.back().golden_lane, origin);
     for (const BatchLaneSpec& spec : segment.specs) {
       PROPANE_REQUIRE(spec.spec != nullptr);
-      PROPANE_REQUIRE_MSG(spec.spec->target < signals_,
+      PROPANE_REQUIRE_MSG(spec.spec->target < kLaneSignals,
                           "injection targets unknown signal");
       load_machine(segments_.back().first_lane + segments_.back().count,
                    origin);
@@ -178,7 +148,7 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
     std::span<const ResumedSegment> segments, sim::SimTime now,
     sim::SimTime duration)
     : BatchedArrestmentSystem(total_lanes(segments), segments.size(),
-                              resumed_signal_count(segments), duration) {
+                              duration) {
   PROPANE_REQUIRE_MSG(now < duration, "batch origin must precede the horizon");
   for (const ResumedSegment& segment : segments) {
     PROPANE_REQUIRE(segment.golden != nullptr);
@@ -210,7 +180,7 @@ void BatchedArrestmentSystem::seat_lane(const BatchLaneSpec& spec,
                                         std::uint16_t conv_hint, bool fired) {
   PROPANE_REQUIRE(spec.spec != nullptr);
   PROPANE_REQUIRE(spec.spec->model.apply != nullptr);
-  PROPANE_REQUIRE_MSG(report.empty() || report.size() == signals_,
+  PROPANE_REQUIRE_MSG(report.empty() || report.size() == kLaneSignals,
                       "lane report must cover the bus");
   SegmentInfo& segment = segments_.back();
   const std::size_t j = specs_.size();
@@ -219,18 +189,18 @@ void BatchedArrestmentSystem::seat_lane(const BatchLaneSpec& spec,
       static_cast<std::uint32_t>(segment.first_lane + segment.count));
   spec_golden_.push_back(static_cast<std::uint32_t>(segment.golden_lane));
   ++segment.count;
-  fired_.push_back(fired ? 1 : 0);
-  if (!fired) ++unfired_;
+  if (!fired) unfired_ |= std::uint64_t{1} << j;
   if (report.empty()) {
-    divergences_.resize(divergences_.size() + signals_);
+    divergences_.resize(divergences_.size() + kLaneSignals);
   } else {
     divergences_.insert(divergences_.end(), report.begin(), report.end());
   }
   conv_hint_.push_back(conv_hint);
   undiverged_.push_back(
       static_cast<std::uint32_t>(__builtin_popcountll(pending)));
-  for (std::size_t sig = 0; sig < signals_; ++sig) {
-    if (((pending >> sig) & 1u) != 0) pending_[sig].set(j);
+  for (SignalSet sigs = pending; sigs != 0; sigs &= sigs - 1) {
+    pending_[static_cast<std::size_t>(__builtin_ctzll(sigs))] |=
+        std::uint64_t{1} << j;
   }
 }
 
@@ -274,17 +244,18 @@ InjectionLaneState BatchedArrestmentSystem::store_lane(std::size_t i) const {
   state.lane.v_reg_integrator = v_reg_.lane_integrator(lane);
   state.lane.calc = calc_.lane_snapshot(lane);
   state.spec = specs_[i];
-  std::copy_n(divergences_.begin() + static_cast<std::ptrdiff_t>(i * signals_),
-              signals_, state.report.begin());
+  std::copy_n(
+      divergences_.begin() + static_cast<std::ptrdiff_t>(i * kLaneSignals),
+      kLaneSignals, state.report.begin());
   state.pending = pending_signals(i);
   state.conv_hint = conv_hint_[i];
-  state.fired = fired_[i] != 0;
+  state.fired = ((unfired_ >> i) & 1u) == 0;
   return state;
 }
 
 void BatchedArrestmentSystem::start(sim::SimTime origin) {
   // Golden-gather tables for the vectorised screen (lanes_ <= 64; wider
-  // batches use the chunked general path in check_divergence).
+  // batches screen per segment in check_divergence).
   if (lanes_ <= 64) {
     for (const SegmentInfo& seg : segments_) {
       golden_idx_[seg.golden_lane] =
@@ -298,26 +269,15 @@ void BatchedArrestmentSystem::start(sim::SimTime origin) {
   }
   // A lane seated with nothing left to diverge on is already final.
   for (std::size_t j = 0; j < specs_.size(); ++j) {
-    if (undiverged_[j] == 0) {
-      active_.reset(j);
-      --active_count_;
-    }
+    if (undiverged_[j] == 0) active_ &= ~(std::uint64_t{1} << j);
   }
-
-  // Resume simulated time at `origin`: slot position is now/1ms modulo the
-  // cycle, exactly where a scalar run from t=0 would be.
-  scheduler_.seek(origin,
-                  sim::to_milliseconds(origin) % scheduler_.slot_count());
-
-  // One tick == one scheduler slot, and every step of it runs in one
-  // task, in ArrestmentSystem::tick's order. Steps that dispatch on the
-  // slot number (PRES_S) read each lane's *bus value* of ms_slot_nbr, so
-  // a corrupted slot number shifts that lane's schedule exactly as in the
-  // scalar system.
-  scheduler_.add_every_slot_batch_task(
-      "tick", [this](sim::SimTime now, const sim::LaneMask&) { tick(now); });
+  now_ = origin;
 }
 
+// One tick is one 1-ms slot of the target system, its steps in
+// ArrestmentSystem::tick's order. Steps that dispatch on the slot number
+// (PRES_S) read each lane's *bus value* of ms_slot_nbr, so a corrupted
+// slot number shifts that lane's schedule exactly as in the scalar system.
 void BatchedArrestmentSystem::tick(sim::SimTime now) {
   fire_injections(now, fi::InjectionPhase::kTickStart);
   env_.step_lanes(bus_, now);
@@ -333,7 +293,7 @@ void BatchedArrestmentSystem::tick(sim::SimTime now) {
   if (recording_) record_rows();
   check_divergence(now);
   ++ticks_;
-  if (!recording_ && active_count_ > 0 &&
+  if (!recording_ && active_ != 0 &&
       ticks_ % kConvergenceCheckPeriod == 0) {
     check_convergence(now);
   }
@@ -360,9 +320,9 @@ void BatchedArrestmentSystem::enable_recording(
     const fi::TraceSet* prefix = prefixes[s];
     // Only the rows before the origin tick seed the traces: the prefix may
     // be exactly that long, or the test case's full golden trace.
-    const std::size_t prefix_rows = sim::to_milliseconds(scheduler_.now());
+    const std::size_t prefix_rows = sim::to_milliseconds(now_);
     if (prefix != nullptr) {
-      PROPANE_REQUIRE_MSG(prefix->signal_count() == signals_,
+      PROPANE_REQUIRE_MSG(prefix->signal_count() == kLaneSignals,
                           "prefix signals must match the bus");
       PROPANE_REQUIRE(prefix->sample_count() >= prefix_rows);
     }
@@ -373,17 +333,18 @@ void BatchedArrestmentSystem::enable_recording(
       fi::TraceSet trace(names_);
       trace.reserve(duration_ms_);
       if (prefix != nullptr) {
-        trace.append_rows({prefix->data(), prefix_rows * signals_});
+        trace.append_rows({prefix->data(), prefix_rows * kLaneSignals});
       }
       traces_.push_back(std::move(trace));
     }
   }
-  row_scratch_.resize(signals_);
+  row_scratch_.resize(kLaneSignals);
 }
 
 std::vector<fi::DivergenceReport> BatchedArrestmentSystem::run() {
-  while (scheduler_.now() < duration_ && (recording_ || active_count_ > 0)) {
-    scheduler_.run_slot(active_);
+  for (; now_ < duration_ && (recording_ || active_ != 0);
+       now_ += sim::kMillisecond) {
+    tick(now_);
   }
   // Lanes still live at the horizon simply keep their reports: signals
   // that never diverged stay {diverged=false}, same as compare_to_golden
@@ -397,10 +358,10 @@ std::vector<fi::DivergenceReport> BatchedArrestmentSystem::run() {
 fi::DivergenceReport BatchedArrestmentSystem::report(std::size_t i) const {
   PROPANE_REQUIRE(i < specs_.size());
   const auto first = divergences_.begin() +
-                     static_cast<std::ptrdiff_t>(i * signals_);
+                     static_cast<std::ptrdiff_t>(i * kLaneSignals);
   fi::DivergenceReport report;
-  report.per_signal.reserve(signals_);
-  std::for_each(first, first + static_cast<std::ptrdiff_t>(signals_),
+  report.per_signal.reserve(kLaneSignals);
+  std::for_each(first, first + static_cast<std::ptrdiff_t>(kLaneSignals),
                 [&](const LaneDivergence& d) {
                   report.per_signal.push_back(d.unpack());
                 });
@@ -410,9 +371,7 @@ fi::DivergenceReport BatchedArrestmentSystem::report(std::size_t i) const {
 void BatchedArrestmentSystem::advance(sim::SimTime until) {
   PROPANE_REQUIRE_MSG(!recording_, "recording batches run to the horizon");
   const sim::SimTime stop = std::min(until, duration_);
-  while (scheduler_.now() < stop && active_count_ > 0) {
-    scheduler_.run_slot(active_);
-  }
+  for (; now_ < stop && active_ != 0; now_ += sim::kMillisecond) tick(now_);
 }
 
 fi::TraceSet BatchedArrestmentSystem::take_lane_trace(std::size_t i) {
@@ -429,9 +388,9 @@ fi::TraceSet BatchedArrestmentSystem::take_golden_trace(std::size_t segment) {
 
 void BatchedArrestmentSystem::fire_injections(sim::SimTime now,
                                               fi::InjectionPhase phase) {
-  if (unfired_ == 0) return;
-  for (std::size_t j = 0; j < specs_.size(); ++j) {
-    if (fired_[j]) continue;
+  for (std::uint64_t unfired = unfired_; unfired != 0;
+       unfired &= unfired - 1) {
+    const auto j = static_cast<std::size_t>(__builtin_ctzll(unfired));
     const fi::InjectionSpec& spec = *specs_[j].spec;
     if (spec.phase != phase || now < spec.when) continue;
     // Replicates InjectionDriver byte for byte: the run's RNG stream is
@@ -446,27 +405,27 @@ void BatchedArrestmentSystem::fire_injections(sim::SimTime now,
     const std::uint16_t before = bus_.read(spec.target, lane);
     const std::uint16_t after = spec.model.apply(before, rng);
     bus_.poke(spec.target, lane, after);
-    fired_[j] = 1;
-    --unfired_;
+    unfired_ &= ~(std::uint64_t{1} << j);
   }
 }
 
 void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
-  const std::size_t spec_count = specs_.size();
   // Screen phase: compute, for every signal, the lanes diverging from
-  // their segment's golden lane on this very tick (per-segment vector
-  // compare, shifted to the segment's bit range, intersected with the
-  // pending set). The loop reads but never writes heap state, so the
-  // compiler keeps it tight; on the overwhelmingly common tick the
-  // accumulated mask is zero and the function is done.
-  constexpr std::size_t kMaxScreenSignals = 64;
+  // their segment's golden lane on this very tick, intersected with the
+  // lanes still waiting on it. The loop reads but never writes heap
+  // state, so the compiler keeps it tight; on the overwhelmingly common
+  // tick no lane diverges and the function is done. A signal no lane
+  // still waits on -- every lane diverged on it, or none can reach it --
+  // is done for the rest of the run: its compares are skipped entirely.
+  std::uint64_t newly[kLaneSignals];
+  std::uint64_t any = 0;
 #if defined(__AVX512BW__) && defined(__BMI2__)
   // Golden-gather screen: one permute maps every bus lane to its segment's
   // golden value, one masked compare yields all divergence bits at once,
   // and a pext compacts the injection-lane bits into cross-segment spec
   // order (golden lanes compare equal to themselves and drop out) -- the
   // per-signal cost is independent of how many test cases the batch packs.
-  if (lanes_ <= 64 && signals_ <= kMaxScreenSignals) [[likely]] {
+  if (lanes_ <= 64) [[likely]] {
     const __mmask32 m0 =
         lanes_ >= 32 ? ~__mmask32{0}
                      : static_cast<__mmask32>((1u << lanes_) - 1);
@@ -478,13 +437,8 @@ void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
                    : static_cast<__mmask32>((1u << (lanes_ - 32)) - 1));
     const __m512i idx0 = _mm512_loadu_si512(golden_idx_.data());
     const __m512i idx1 = _mm512_loadu_si512(golden_idx_.data() + 32);
-    std::uint64_t newly[kMaxScreenSignals];
-    std::uint64_t any = 0;
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      // A signal no lane still waits on -- every lane diverged on it, or
-      // none can reach it -- is done for the rest of the run: skip its
-      // compares entirely.
-      const std::uint64_t pend = pending_[sig].word(0);
+    for (std::size_t sig = 0; sig < kLaneSignals; ++sig) {
+      const std::uint64_t pend = pending_[sig];
       if (pend == 0) {
         newly[sig] = 0;
         continue;
@@ -506,26 +460,13 @@ void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
       newly[sig] = _pext_u64(ne, spec_lane_mask_) & pend;
       any |= newly[sig];
     }
-    if (any == 0) return;
-    const std::uint64_t ms = sim::to_milliseconds(now);
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      if (newly[sig] != 0) {
-        pending_[sig].reset_word_bits(0, newly[sig]);
-        note_divergences(sig, 0, newly[sig], ms);
-      }
-    }
-    return;
-  }
+  } else
 #endif
-  if (spec_count <= 64 && signals_ <= kMaxScreenSignals) [[likely]] {
-    std::uint64_t newly[kMaxScreenSignals];
-    std::uint64_t any = 0;
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      // Once no lane waits on a signal any more -- every lane recorded its
-      // first divergence there, or none can reach it -- the signal's
-      // screen is done for the rest of the run: skip the compares
-      // entirely.
-      const std::uint64_t pend = pending_[sig].word(0);
+  {
+    // Per-segment screen: each segment's lane sub-row against its golden
+    // value, shifted to the segment's bit range.
+    for (std::size_t sig = 0; sig < kLaneSignals; ++sig) {
+      const std::uint64_t pend = pending_[sig];
       if (pend == 0) {
         newly[sig] = 0;
         continue;
@@ -542,69 +483,29 @@ void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
       newly[sig] = bits & pend;
       any |= newly[sig];
     }
-    if (any == 0) return;
-    const std::uint64_t ms = sim::to_milliseconds(now);
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      if (newly[sig] != 0) {
-        pending_[sig].reset_word_bits(0, newly[sig]);
-        note_divergences(sig, 0, newly[sig], ms);
-      }
-    }
-    return;
   }
-  // General path: batches wider than one mask word. Per segment, screen in
-  // <= 64-lane chunks and scatter the chunk bits into the word-indexed
-  // scratch (a chunk may straddle two words when first_bit is unaligned).
+  if (any == 0) return;
   const std::uint64_t ms = sim::to_milliseconds(now);
-  for (std::size_t sig = 0; sig < signals_; ++sig) {
-    sim::LaneMask& pend = pending_[sig];
-    if (pend.none()) continue;  // no lane waits on this signal
-    const std::span<const std::uint16_t> row =
-        bus_.lane_values(static_cast<fi::BusSignalId>(sig));
-    std::fill(screen_words_.begin(), screen_words_.end(), 0);
-    bool any = false;
-    for (const SegmentInfo& seg : segments_) {
-      const std::uint16_t golden = row[seg.golden_lane];
-      for (std::size_t c = 0; c < seg.count; c += 64) {
-        const std::size_t n = std::min<std::size_t>(64, seg.count - c);
-        const std::uint64_t bits =
-            diff_bits(row.data() + seg.first_lane + c, golden, n);
-        if (bits == 0) continue;
-        const std::size_t pos = seg.first_bit + c;
-        const std::size_t w = pos >> 6;
-        const std::size_t shift = pos & 63;
-        screen_words_[w] |= bits << shift;
-        if (shift != 0 && n > 64 - shift) {
-          screen_words_[w + 1] |= bits >> (64 - shift);
-        }
-        any = true;
-      }
-    }
-    if (!any) continue;
-    for (std::size_t w = 0; w < pend.word_count(); ++w) {
-      const std::uint64_t newly = screen_words_[w] & pend.word(w);
-      if (newly == 0) continue;
-      pend.reset_word_bits(w, newly);
-      note_divergences(sig, w * 64, newly, ms);
+  for (std::size_t sig = 0; sig < kLaneSignals; ++sig) {
+    if (newly[sig] != 0) {
+      pending_[sig] &= ~newly[sig];
+      note_divergences(sig, newly[sig], ms);
     }
   }
 }
 
 void BatchedArrestmentSystem::note_divergences(std::size_t sig,
-                                               std::size_t base,
                                                std::uint64_t newly,
                                                std::uint64_t ms) {
   const std::span<const std::uint16_t> row =
       bus_.lane_values(static_cast<fi::BusSignalId>(sig));
-  while (newly != 0) {
-    const auto bit = static_cast<std::size_t>(__builtin_ctzll(newly));
-    newly &= newly - 1;
-    const std::size_t j = base + bit;
-    LaneDivergence& d = divergences_[j * signals_ + sig];
+  for (; newly != 0; newly &= newly - 1) {
+    const auto j = static_cast<std::size_t>(__builtin_ctzll(newly));
+    LaneDivergence& d = divergences_[j * kLaneSignals + sig];
     d.first_ms_plus_one = static_cast<std::uint32_t>(ms + 1);
     d.golden_value = row[spec_golden_[j]];
     d.observed_value = row[spec_lane_[j]];
-    if (--undiverged_[j] == 0 && !recording_ && active_.test(j)) {
+    if (--undiverged_[j] == 0 && !recording_ && ((active_ >> j) & 1u) != 0) {
       retire(j, ms, Retirement::kExhausted);
     }
   }
@@ -612,8 +513,8 @@ void BatchedArrestmentSystem::note_divergences(std::size_t sig,
 
 SignalSet BatchedArrestmentSystem::pending_signals(std::size_t j) const {
   SignalSet pending = 0;
-  for (std::size_t sig = 0; sig < signals_; ++sig) {
-    if (pending_[sig].test(j)) pending |= SignalSet{1} << sig;
+  for (std::size_t sig = 0; sig < kLaneSignals; ++sig) {
+    pending |= ((pending_[sig] >> j) & 1u) << sig;
   }
   return pending;
 }
@@ -645,13 +546,14 @@ bool BatchedArrestmentSystem::final_at_rest(std::size_t j,
 
 void BatchedArrestmentSystem::check_convergence(sim::SimTime now) {
   const std::uint64_t ms = sim::to_milliseconds(now);
-  active_.for_each([&](std::size_t j) {
-    // Only a lane whose injection has fired may retire as converged or at
-    // rest: before the fire, lane state trivially equals its golden lane's.
-    if (!fired_[j]) return;
+  // Only a lane whose injection has fired may retire as converged or at
+  // rest: before the fire, lane state trivially equals its golden lane's.
+  for (std::uint64_t lanes = active_ & ~unfired_; lanes != 0;
+       lanes &= lanes - 1) {
+    const auto j = static_cast<std::size_t>(__builtin_ctzll(lanes));
     if (final_at_rest(j, ms)) {
       retire(j, ms, Retirement::kAtRest);
-      return;
+      continue;
     }
     const std::size_t lane = spec_lane_[j];
     const std::size_t golden = spec_golden_[j];
@@ -659,33 +561,35 @@ void BatchedArrestmentSystem::check_convergence(sim::SimTime now) {
     // signal check after check; probing that signal first turns the
     // common no-convergence outcome into a single compare.
     const auto hinted = static_cast<fi::BusSignalId>(conv_hint_[j]);
-    if (bus_.read(hinted, lane) != bus_.read(hinted, golden)) return;
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
+    if (bus_.read(hinted, lane) != bus_.read(hinted, golden)) continue;
+    std::size_t sig = 0;
+    for (; sig < kLaneSignals; ++sig) {
       const auto id = static_cast<fi::BusSignalId>(sig);
-      if (bus_.read(id, lane) != bus_.read(id, golden)) {
-        conv_hint_[j] = static_cast<std::uint16_t>(sig);
-        return;
-      }
+      if (bus_.read(id, lane) != bus_.read(id, golden)) break;
     }
-    if (!dist_s_.lane_equals(lane, golden)) return;
-    if (!v_reg_.lane_equals(lane, golden)) return;
-    if (!calc_.lane_equals(lane, golden)) return;
-    if (!env_.lane_equals(lane, golden)) return;
+    if (sig < kLaneSignals) {
+      conv_hint_[j] = static_cast<std::uint16_t>(sig);
+      continue;
+    }
+    if (!dist_s_.lane_equals(lane, golden)) continue;
+    if (!v_reg_.lane_equals(lane, golden)) continue;
+    if (!calc_.lane_equals(lane, golden)) continue;
+    if (!env_.lane_equals(lane, golden)) continue;
     // Complete state (bus + module-internal + bus-feeding environment)
     // equals the segment's golden lane: every future sample coincides, so
     // the report is final.
     retire(j, ms, Retirement::kConverged);
-  });
+  }
 }
 
 void BatchedArrestmentSystem::retire(std::size_t lane, std::uint64_t now_ms,
                                      Retirement reason) {
   // The report is final: nothing is pending any more, so the screen skips
   // the lane.
-  for (std::size_t sig = 0; sig < signals_; ++sig) pending_[sig].reset(lane);
+  const std::uint64_t keep = ~(std::uint64_t{1} << lane);
+  for (std::uint64_t& pend : pending_) pend &= keep;
   undiverged_[lane] = 0;
-  active_.reset(lane);
-  --active_count_;
+  active_ &= keep;
   switch (reason) {
     case Retirement::kExhausted:
       ++exhausted_;

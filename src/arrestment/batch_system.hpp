@@ -52,6 +52,10 @@
 // left off. Lanes never interact, so a lane's report is bit-identical
 // whichever batches it travels through (batch_runner.hpp compacts its
 // batches this way between fixed windows).
+//
+// Lane sets: a batch holds at most kMaxBatchLanes injection lanes, so
+// every set of them -- live lanes, unfired lanes, the lanes still waiting
+// on a signal -- is one 64-bit word, bit j for injection lane j.
 #pragma once
 
 #include <array>
@@ -64,8 +68,6 @@
 #include "arrestment/system.hpp"
 #include "fi/batched_bus.hpp"
 #include "fi/golden.hpp"
-#include "sim/lanes.hpp"
-#include "sim/scheduler.hpp"
 
 namespace propane::arr {
 
@@ -94,6 +96,14 @@ inline constexpr std::uint64_t kConvergenceCheckPeriod = 16;
 /// Signals on the arrestment bus (kAllSignals); lane states hold one
 /// value per signal inline, so a transplanted lane allocates nothing.
 inline constexpr std::size_t kLaneSignals = kAllSignals.size();
+
+/// Injection lanes per batch at most: one bit each in a 64-bit lane set.
+inline constexpr std::size_t kMaxBatchLanes = 64;
+
+/// The lane set {0, ..., n - 1}, for n <= kMaxBatchLanes.
+constexpr std::uint64_t first_lanes(std::size_t n) {
+  return n == 0 ? 0 : ~std::uint64_t{0} >> (kMaxBatchLanes - n);
+}
 
 /// The whole state of one bus lane at a tick: what a lane carries when it
 /// is transplanted from one batch into another.
@@ -158,7 +168,8 @@ class BatchedArrestmentSystem {
   /// the same current tick. Lanes are laid out segment-contiguously
   /// ([golden 0, lanes 0..., golden 1, lanes 1...]); injection lane
   /// indices (reports, take_lane_trace) count specs across segments in
-  /// order. At least one segment must carry an injection lane.
+  /// order. The segments carry between one and kMaxBatchLanes injection
+  /// lanes in all.
   BatchedArrestmentSystem(std::span<const BatchSegment> segments,
                           sim::SimTime duration);
   ~BatchedArrestmentSystem();
@@ -177,8 +188,8 @@ class BatchedArrestmentSystem {
   void enable_recording(std::span<const fi::TraceSet* const> prefixes);
 
   /// Resumes transplanted lanes at simulated time `now` (ms-aligned, the
-  /// tick every stored lane stopped at). Lanes are laid out as in the
-  /// cross-test-case form; a resumed batch cannot record traces.
+  /// tick every stored lane stopped at). Lanes are laid out, and bounded,
+  /// as in the cross-test-case form; a resumed batch cannot record traces.
   BatchedArrestmentSystem(std::span<const ResumedSegment> segments,
                           sim::SimTime now, sim::SimTime duration);
 
@@ -192,12 +203,12 @@ class BatchedArrestmentSystem {
   void advance(sim::SimTime until);
 
   /// Simulated time: the start of the next tick to run.
-  sim::SimTime now() const { return scheduler_.now(); }
+  sim::SimTime now() const { return now_; }
   std::size_t injection_lane_count() const { return specs_.size(); }
   /// True while injection lane `i`'s report can still change: it has not
   /// retired and the horizon is not reached. Its report is final otherwise.
   bool lane_live(std::size_t i) const {
-    return active_.test(i) && scheduler_.now() < duration_;
+    return ((active_ >> i) & 1u) != 0 && now_ < duration_;
   }
   /// Injection lane `i`'s report as it stands (final once !lane_live(i)).
   fi::DivergenceReport report(std::size_t i) const;
@@ -213,9 +224,9 @@ class BatchedArrestmentSystem {
   std::size_t lanes_retired_at_rest() const { return at_rest_; }
   /// Lane-milliseconds not simulated thanks to early exit.
   std::uint64_t saved_lane_ms() const { return saved_lane_ms_; }
-  /// Scheduler slots actually executed (one per simulated millisecond);
-  /// kernel work derives from this -- every tick sweeps all lanes once
-  /// through the LUT gather and the four exact-divisor ops per lane.
+  /// Ticks simulated (one per simulated millisecond); kernel work derives
+  /// from this -- every tick sweeps all lanes once through the LUT gather
+  /// and the four exact-divisor ops per lane.
   std::uint64_t ticks_simulated() const { return ticks_; }
   /// Per retirement: ticks from the lane's fire tick to its retirement, in
   /// retirement order.
@@ -243,7 +254,7 @@ class BatchedArrestmentSystem {
 
   /// Sizes every lane row; the public constructors then seat the segments.
   BatchedArrestmentSystem(std::size_t lanes, std::size_t segments,
-                          std::size_t signals, sim::SimTime duration);
+                          sim::SimTime duration);
   /// Opens a segment whose golden lane is the next bus lane.
   void open_segment();
   /// Seats an injection lane of the current segment at the next bus lane;
@@ -253,8 +264,7 @@ class BatchedArrestmentSystem {
                  SignalSet pending, std::uint16_t conv_hint, bool fired);
   void load_machine(std::size_t lane, const ArrestmentSystem& origin);
   void load_machine(std::size_t lane, const LaneState& state);
-  /// Screen tables, clock position and scheduler tasks, once every lane
-  /// is seated.
+  /// Screen tables and clock position, once every lane is seated.
   void start(sim::SimTime origin);
 
   /// One millisecond of every lane: injections, environment, modules,
@@ -262,8 +272,8 @@ class BatchedArrestmentSystem {
   void tick(sim::SimTime now);
   void fire_injections(sim::SimTime now, fi::InjectionPhase phase);
   void check_divergence(sim::SimTime now);
-  void note_divergences(std::size_t sig, std::size_t base,
-                        std::uint64_t newly, std::uint64_t ms);
+  void note_divergences(std::size_t sig, std::uint64_t newly,
+                        std::uint64_t ms);
   void check_convergence(sim::SimTime now);
   /// The signals injection lane `j` still waits on.
   SignalSet pending_signals(std::size_t j) const;
@@ -278,14 +288,13 @@ class BatchedArrestmentSystem {
   void record_rows();
 
   std::size_t lanes_;            // total specs + one golden per segment
-  std::size_t signals_;
   BusMap map_;
   sim::SimTime duration_;
   std::uint64_t duration_ms_;
   fi::SignalNameTable names_;
 
   fi::BatchedSignalBus bus_;
-  sim::SlotScheduler scheduler_;
+  sim::SimTime now_ = 0;
   BatchedEnvironment env_;
   BatchedClock clock_;
   BatchedDistS dist_s_;
@@ -302,17 +311,16 @@ class BatchedArrestmentSystem {
   std::vector<SegmentInfo> segments_;
   std::vector<std::uint32_t> spec_lane_;
   std::vector<std::uint32_t> spec_golden_;
-  std::vector<std::uint8_t> fired_;
-  std::size_t unfired_ = 0;
+  std::uint64_t unfired_ = 0;                   // injections still to fire
 
   // Online divergence tracking.
   // Per injection lane, per signal (lane-major): the report entries.
   std::vector<LaneDivergence> divergences_;
-  std::vector<sim::LaneMask> pending_;          // per signal: not yet diverged
+  // Per signal: the lanes not yet diverged on it.
+  std::array<std::uint64_t, kLaneSignals> pending_{};
   std::vector<std::uint32_t> undiverged_;       // per lane: pending signals
   std::vector<std::uint16_t> conv_hint_;        // per lane: last unequal signal
-  sim::LaneMask active_;                        // live injection lanes
-  std::size_t active_count_ = 0;
+  std::uint64_t active_ = 0;                    // live injection lanes
   std::uint64_t ticks_ = 0;
 
   // Early-exit accounting.
@@ -322,15 +330,12 @@ class BatchedArrestmentSystem {
   std::uint64_t saved_lane_ms_ = 0;
   std::vector<std::uint64_t> retirement_ticks_;
 
-  // General divergence screen scratch (batches wider than one mask word).
-  std::vector<std::uint64_t> screen_words_;
-
-  // Golden-gather screen tables (valid when lanes_ <= 64): golden_idx_[l]
-  // is the bus lane whose value lane l compares against (a golden lane
-  // maps to itself); spec_lane_mask_ has one bit per injection lane. A
-  // vector permute through golden_idx_ reduces the whole screen to one
-  // row compare per signal, independent of how many test-case segments
-  // the batch packs (check_divergence).
+  // Golden-gather screen tables (valid when lanes_ <= 64, goldens
+  // included): golden_idx_[l] is the bus lane whose value lane l compares
+  // against (a golden lane maps to itself); spec_lane_mask_ has one bit
+  // per injection lane. A vector permute through golden_idx_ reduces the
+  // whole screen to one row compare per signal, independent of how many
+  // test-case segments the batch packs (check_divergence).
   std::array<std::uint16_t, 64> golden_idx_{};
   std::uint64_t spec_lane_mask_ = 0;
 

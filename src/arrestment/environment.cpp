@@ -55,8 +55,7 @@ void Environment::step(fi::SignalBus& bus, sim::SimTime now) {
   // The free-running timer and the A/D converter are refreshed from the
   // physical state every tick regardless of software activity.
   bus.write(map_.tcnt, tcnt);
-  adc_.set_physical(pressure_);
-  bus.write(map_.adc, adc_.read());
+  bus.write(map_.adc, adc_.quantize(pressure_));
 }
 
 BatchedEnvironment::BatchedEnvironment(const BusMap& map,

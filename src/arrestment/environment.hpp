@@ -83,8 +83,8 @@ class Environment {
 /// operation is IEEE per-op regardless of surrounding code, so a lane's
 /// state is bit-identical to a scalar Environment stepped from the same
 /// origin -- the property tests/fi/batch_equivalence_test.cpp enforces.
-/// The ADC quantisation routes through the same sim::Adc::read the scalar
-/// path compiles.
+/// The ADC quantisation is sim::Adc::quantize's clamp, scale and
+/// round-half-up, with the divide by the range done exactly (ExactDivisor).
 class BatchedEnvironment {
  public:
   /// `lane_count` lanes, every one to be seeded with load_lane before the

@@ -119,8 +119,8 @@ struct CampaignConfig {
   std::uint64_t seed = 0x9E3779B9;
   /// Worker threads (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Lanes per lockstep batch when the runner provides a BatchRunFunction
-  /// (0 = default). Pure execution knob: results and journals are
+  /// Lanes per lockstep batch when the runner provides a BatchRunFunction:
+  /// 1-64, 0 = kDefaultBatchSize. Pure execution knob: results and journals are
   /// bit-identical for every batch size, and the journal plan hash
   /// deliberately excludes it, so a campaign may be resumed under a
   /// different batch size (or on the scalar path) without invalidation.

@@ -1,8 +1,5 @@
 #include "sim/hw_registers.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/contracts.hpp"
 
 namespace propane::sim {
@@ -18,10 +15,6 @@ std::uint16_t FreeRunningTimer::read(SimTime now) const {
 
 Adc::Adc(double phys_lo, double phys_hi) : lo_(phys_lo), hi_(phys_hi) {
   PROPANE_REQUIRE(phys_hi > phys_lo);
-}
-
-double Adc::to_physical(std::uint16_t counts) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(counts) / 65535.0;
 }
 
 }  // namespace propane::sim

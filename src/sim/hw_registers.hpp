@@ -2,12 +2,13 @@
 // to simulate registers for A/D-conversion, timers, counter registers etc.,
 // accessed by the application").
 //
-// The register set mirrors an HC11-style microcontroller timer subsystem,
-// which matches the paper's signal names:
+// The registers mirror an HC11-style microcontroller timer subsystem,
+// which matches the paper's signal names. The pulse accumulator (PACNT),
+// input capture (TIC1) and output compare (TOC2) registers are plain bus
+// values the environment updates in place (arrestment/environment.hpp);
+// the two modelled here derive their value from time or a physical
+// quantity:
 //   TCNT  -- free-running 16-bit timer
-//   PACNT -- pulse accumulator counting rotation-sensor pulses
-//   TIC1  -- input capture: TCNT latched at the most recent pulse edge
-//   TOC2  -- output compare: actuator command written by the software
 //   ADC   -- analogue-to-digital converter sampling a physical quantity
 //
 // All registers are 16 bits wide, matching "the input signals were all 16
@@ -15,8 +16,6 @@
 // real counters do -- the control software must handle the wrap.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 #include "sim/simtime.hpp"
@@ -38,75 +37,20 @@ class FreeRunningTimer {
   std::uint32_t rate_;
 };
 
-/// 16-bit pulse accumulator: software reads the cumulative (wrapping) pulse
-/// count; the environment simulator feeds pulses in.
-class PulseAccumulator {
- public:
-  void add_pulses(std::uint32_t n) {
-    count_ = static_cast<std::uint16_t>(count_ + n);
-  }
-  std::uint16_t read() const { return count_; }
-  void reset() { count_ = 0; }
-
- private:
-  std::uint16_t count_ = 0;
-};
-
-/// Input capture: latches a timer value on each pulse edge.
-class InputCapture {
- public:
-  void capture(std::uint16_t timer_value) {
-    latched_ = timer_value;
-    has_capture_ = true;
-  }
-  std::uint16_t read() const { return latched_; }
-  bool has_capture() const { return has_capture_; }
-  void reset() {
-    latched_ = 0;
-    has_capture_ = false;
-  }
-
- private:
-  std::uint16_t latched_ = 0;
-  bool has_capture_ = false;
-};
-
-/// Output compare register: the software writes the actuator command, the
-/// environment simulator reads it.
-class OutputCompare {
- public:
-  void write(std::uint16_t value) { value_ = value; }
-  std::uint16_t read() const { return value_; }
-
- private:
-  std::uint16_t value_ = 0;
-};
-
 /// Linear 16-bit A/D converter over a configurable physical range.
 /// Values outside [phys_lo, phys_hi] clamp to the rail, like a real ADC.
 class Adc {
  public:
   Adc(double phys_lo, double phys_hi);
 
-  /// Environment side: applies the current physical value.
-  void set_physical(double value) { physical_ = value; }
-  double physical() const { return physical_; }
-
-  /// Software side: quantized sample.
-  std::uint16_t read() const { return quantize(physical_); }
-
-  /// Quantizes an arbitrary physical value without touching the held
-  /// sample. Stateless and call-free (round-half-up instead of libm
-  /// lround) so the batched environment's per-lane loop vectorizes.
+  /// The sample the software reads for physical value `value`. Stateless
+  /// and call-free (round-half-up instead of libm lround) so the batched
+  /// environment's per-lane loop vectorizes.
   std::uint16_t quantize(double value) const {
     const double clamped = value < lo_ ? lo_ : (hi_ < value ? hi_ : value);
     const double scaled = (clamped - lo_) / (hi_ - lo_) * 65535.0;
     return static_cast<std::uint16_t>(scaled + 0.5);
   }
-
-  /// Converts a raw ADC count back to the physical quantity (used by
-  /// assertions / tests, not by the embedded code).
-  double to_physical(std::uint16_t counts) const;
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }
@@ -114,7 +58,6 @@ class Adc {
  private:
   double lo_;
   double hi_;
-  double physical_ = 0.0;
 };
 
 }  // namespace propane::sim

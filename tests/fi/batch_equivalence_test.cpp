@@ -25,6 +25,7 @@
 #include "arrestment/batch_system.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
+#include "common/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "store/result_cache.hpp"
@@ -1103,6 +1104,36 @@ TEST(BatchJournal, ResumeOfCompleteJournalPlansNoBatches) {
             config.injections.size() * config.test_case_count);
   EXPECT_EQ(stats->batches.load(), 0u);
   EXPECT_EQ(journal_csv(dir), csv);
+}
+
+// --- Batch width contract ------------------------------------------------
+
+TEST(BatchJournal, BatchWiderThanOneLaneWordIsRejected) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 2);
+  fi::CampaignConfig config = short_config();
+  config.batch_size = kMaxBatchLanes + 1;
+
+  const fs::path dir = fresh_dir("batch_too_wide");
+  EXPECT_THROW(run_journal(batched_campaign_runner(cases, config, kShortRun),
+                           config, dir),
+               ContractViolation);
+  EXPECT_EQ(store::scan_campaign_dir(dir).completed_count, 0u);
+}
+
+TEST(BatchKernel, BatchWiderThanOneLaneWordIsRejected) {
+  const TestCase test_case = grid_test_cases(1, 1)[0];
+  const fi::InjectionSpec spec{bus_id("pulscnt"), 40 * sim::kMillisecond,
+                               fi::bit_flip(3)};
+  std::vector<BatchLaneSpec> lanes(kMaxBatchLanes + 1,
+                                   BatchLaneSpec{&spec, 7});
+  const ArrestmentSystem origin(test_case);
+  EXPECT_THROW(BatchedArrestmentSystem(
+                   origin, std::span<const BatchLaneSpec>(lanes), kShortRun),
+               ContractViolation);
+  // One lane fewer fills the lane word exactly.
+  lanes.pop_back();
+  BatchedArrestmentSystem batch(origin, lanes, kShortRun);
+  EXPECT_EQ(batch.run().size(), kMaxBatchLanes);
 }
 
 // --- Delta campaigns through the batch planner ---------------------------

@@ -26,69 +26,22 @@ TEST(FreeRunningTimer, RejectsZeroRate) {
   EXPECT_THROW(FreeRunningTimer(0), ContractViolation);
 }
 
-TEST(PulseAccumulator, AccumulatesAndWraps) {
-  PulseAccumulator pacnt;
-  EXPECT_EQ(pacnt.read(), 0u);
-  pacnt.add_pulses(10);
-  pacnt.add_pulses(5);
-  EXPECT_EQ(pacnt.read(), 15u);
-  pacnt.add_pulses(65530);
-  EXPECT_EQ(pacnt.read(), 9u);  // wrapped
-  pacnt.reset();
-  EXPECT_EQ(pacnt.read(), 0u);
-}
-
-TEST(InputCapture, LatchesOnCapture) {
-  InputCapture tic1;
-  EXPECT_FALSE(tic1.has_capture());
-  EXPECT_EQ(tic1.read(), 0u);
-  tic1.capture(1234);
-  EXPECT_TRUE(tic1.has_capture());
-  EXPECT_EQ(tic1.read(), 1234u);
-  tic1.capture(42);
-  EXPECT_EQ(tic1.read(), 42u);  // only the last capture is held
-  tic1.reset();
-  EXPECT_FALSE(tic1.has_capture());
-  EXPECT_EQ(tic1.read(), 0u);
-}
-
-TEST(OutputCompare, HoldsWrittenValue) {
-  OutputCompare toc2;
-  EXPECT_EQ(toc2.read(), 0u);
-  toc2.write(5555);
-  EXPECT_EQ(toc2.read(), 5555u);
-}
-
 TEST(Adc, LinearQuantization) {
   Adc adc(0.0, 10.0);
-  adc.set_physical(0.0);
-  EXPECT_EQ(adc.read(), 0u);
-  adc.set_physical(10.0);
-  EXPECT_EQ(adc.read(), 65535u);
-  adc.set_physical(5.0);
-  EXPECT_NEAR(adc.read(), 32768, 1);
+  EXPECT_EQ(adc.quantize(0.0), 0u);
+  EXPECT_EQ(adc.quantize(10.0), 65535u);
+  EXPECT_NEAR(adc.quantize(5.0), 32768, 1);
 }
 
 TEST(Adc, ClampsToRails) {
   Adc adc(0.0, 10.0);
-  adc.set_physical(-3.0);
-  EXPECT_EQ(adc.read(), 0u);
-  adc.set_physical(12.0);
-  EXPECT_EQ(adc.read(), 65535u);
+  EXPECT_EQ(adc.quantize(-3.0), 0u);
+  EXPECT_EQ(adc.quantize(12.0), 65535u);
 }
 
 TEST(Adc, NonZeroBasedRange) {
   Adc adc(-5.0, 5.0);
-  adc.set_physical(0.0);
-  EXPECT_NEAR(adc.read(), 32768, 1);
-}
-
-TEST(Adc, ToPhysicalInvertsRead) {
-  Adc adc(0.0, 10.0e6);
-  for (double value : {0.0, 1.0e6, 5.5e6, 10.0e6}) {
-    adc.set_physical(value);
-    EXPECT_NEAR(adc.to_physical(adc.read()), value, 10.0e6 / 65535.0);
-  }
+  EXPECT_NEAR(adc.quantize(0.0), 32768, 1);
 }
 
 TEST(Adc, RejectsEmptyRange) {
@@ -100,8 +53,7 @@ TEST(Adc, QuantizationIsMonotone) {
   Adc adc(0.0, 1.0);
   std::uint16_t previous = 0;
   for (int i = 0; i <= 100; ++i) {
-    adc.set_physical(static_cast<double>(i) / 100.0);
-    const std::uint16_t counts = adc.read();
+    const std::uint16_t counts = adc.quantize(static_cast<double>(i) / 100.0);
     EXPECT_GE(counts, previous);
     previous = counts;
   }
