@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <deque>
 #include <utility>
 
 #include "arrestment/batch_system.hpp"
@@ -20,7 +19,6 @@ struct BatchInstruments {
   obs::Histogram* retire_ticks = nullptr;
   obs::Counter* kernel_ticks = nullptr;
   obs::Counter* lut_gathers = nullptr;
-  obs::Counter* exact_div_ops = nullptr;
 
   explicit BatchInstruments(const obs::Telemetry* telemetry) {
     group_lanes = obs::find_histogram(
@@ -30,8 +28,6 @@ struct BatchInstruments {
                                        obs::one_two_five_bounds(10, 1e5));
     kernel_ticks = obs::find_counter(telemetry, "batch.kernel.ticks");
     lut_gathers = obs::find_counter(telemetry, "batch.kernel.lut_gathers");
-    exact_div_ops =
-        obs::find_counter(telemetry, "batch.kernel.exact_div_ops");
   }
 
   /// Folds one closed kernel batch in. Derived *after* the kernel ran,
@@ -50,13 +46,13 @@ struct BatchInstruments {
     const std::uint64_t ticks = batch.ticks_simulated();
     // Every executed tick sweeps all lanes (goldens included -- one per
     // segment; retired lanes are dead but still swept branch-free): one
-    // commanded-pressure LUT gather and four ExactDivisor divides per lane
-    // per tick (environment.cpp's step_lanes_kernel).
-    const std::uint64_t lane_ticks =
-        ticks * static_cast<std::uint64_t>(injection_lanes + segment_count);
+    // commanded-pressure LUT gather per lane per tick (environment.cpp's
+    // step_lanes_kernel).
     if (kernel_ticks != nullptr) kernel_ticks->add(ticks);
-    if (lut_gathers != nullptr) lut_gathers->add(lane_ticks);
-    if (exact_div_ops != nullptr) exact_div_ops->add(lane_ticks * 4);
+    if (lut_gathers != nullptr) {
+      lut_gathers->add(ticks * static_cast<std::uint64_t>(injection_lanes +
+                                                          segment_count));
+    }
   }
 };
 
@@ -185,19 +181,23 @@ class ChunkRun {
   }
 
  private:
-  /// The lanes stopped at one tick, on their way to a compaction: batches
-  /// that may stay as they are, and the live lanes (plus their golden
-  /// lanes) of the batches already taken apart.
+  /// Golden lane states by test case, at the tick a batch starts from.
+  using Goldens = std::vector<std::pair<std::uint32_t, LaneState>>;
+  /// An injection lane on its way into a new batch: a plan lane not yet
+  /// started, or a live lane of a batch taken apart.
   struct Mover {
     std::size_t request_index = 0;
     std::uint32_t test_case = 0;
     InjectionLaneState state;
   };
+  /// The lanes stopped at one tick, on their way to a compaction: batches
+  /// that may stay as they are, and the live lanes (plus their golden
+  /// lanes) of the batches already taken apart.
   struct Pool {
     std::vector<Group> full;     // every lane live, `width` lanes
     std::vector<Group> partial;  // every lane live, fewer lanes
     std::vector<Mover> moved;
-    std::vector<std::pair<std::uint32_t, LaneState>> goldens;
+    Goldens goldens;
     std::size_t live = 0;
   };
 
@@ -235,65 +235,79 @@ class ChunkRun {
     return clamp_ms((now_ms / window_ms_ + 1) * window_ms_);
   }
 
-  /// Builds plan batch `p`: one segment per distinct test case, starting
-  /// at the lanes' earliest fire tick.
+  /// Builds plan batch `p`: its lanes seated on their test cases' golden
+  /// runs at the lanes' earliest fire tick (the engine checkpoints every
+  /// test case at every distinct plan fire tick).
   Group plan_group(std::size_t p) {
     const std::span<const std::size_t> lanes = plan_lanes(p);
     const std::uint64_t start = start_ms(p);
-    const auto segments_by_case = by_test_case(
-        lanes.size(),
-        [&](std::size_t k) { return request_.lanes[lanes[k]].test_case; });
-
-    // Warm path: every segment restores its test case's golden checkpoint
-    // at the batch's start tick (the engine checkpoints every test case at
-    // every distinct plan fire tick). Fire tick 0 has no prefix, and a
-    // missing checkpoint for *any* segment sends the whole batch cold --
-    // all origins must sit at the same tick.
-    std::vector<std::shared_ptr<const WarmStartEngine::Checkpoint>>
-        checkpoints;
-    bool warm = start > 0;
-    for (std::size_t s = 0; warm && s < segments_by_case.size(); ++s) {
-      checkpoints.push_back(
-          engine_.lookup(segments_by_case[s].first, start));
-      warm = checkpoints.back() != nullptr;
+    Goldens goldens;
+    std::vector<Mover> seated;
+    seated.reserve(lanes.size());
+    for (const std::size_t i : lanes) {
+      const fi::BatchLaneRequest& lane = request_.lanes[i];
+      const std::uint32_t tc = lane.test_case;
+      auto golden = std::find_if(goldens.begin(), goldens.end(),
+                                 [tc](const auto& g) { return g.first == tc; });
+      if (golden == goldens.end()) {
+        golden = goldens.emplace(goldens.end(), tc, engine_.origin(tc, start));
+      }
+      seated.push_back(
+          {i, tc, unfired_lane(golden->second, {lane.spec, lane.rng_seed})});
     }
-    std::deque<ArrestmentSystem> cold_origins;  // stable addresses
-    std::vector<std::vector<BatchLaneSpec>> specs(segments_by_case.size());
-    std::vector<BatchSegment> segments;
+    Group group = build_group(
+        seated, goldens, static_cast<sim::SimTime>(start) * sim::kMillisecond);
+
+    // A batch starting after tick 0 skips its lanes' golden prefix.
+    if (warm_stats_ != nullptr) {
+      (start > 0 ? warm_stats_->warm_runs : warm_stats_->cold_runs)
+          .fetch_add(lanes.size(), std::memory_order_relaxed);
+      warm_stats_->saved_ms.fetch_add(lanes.size() * start,
+                                      std::memory_order_relaxed);
+    }
+    if (stats_ != nullptr) {
+      stats_->saved_lane_ms.fetch_add(lanes.size() * start,
+                                      std::memory_order_relaxed);
+    }
+    return group;
+  }
+
+  /// One kernel batch of `lanes` at `now`: a segment per test case, in
+  /// first-appearance order, each comparing against its test case's state
+  /// in `goldens`.
+  Group build_group(std::span<const Mover> lanes, const Goldens& goldens,
+                    sim::SimTime now) {
+    const auto segments_by_case = by_test_case(
+        lanes.size(), [&](std::size_t k) { return lanes[k].test_case; });
+    // Each segment's lanes, contiguous in staged_ (reused, so batches
+    // allocate no per-lane storage once warm).
+    staged_.clear();
+    std::vector<ResumedSegment> segments;
     Group group;
     for (std::size_t s = 0; s < segments_by_case.size(); ++s) {
       const auto& [tc, positions] = segments_by_case[s];
       for (const std::size_t k : positions) {
-        const fi::BatchLaneRequest& lane = request_.lanes[lanes[k]];
-        specs[s].push_back({lane.spec, lane.rng_seed});
-        group.request_index.push_back(lanes[k]);
+        staged_.push_back(lanes[k].state);
+        group.request_index.push_back(lanes[k].request_index);
         group.lane_segment.push_back(s);
       }
-      const ArrestmentSystem* origin =
-          warm ? checkpoints[s]->system.get()
-               : &cold_origins.emplace_back(engine_.cases()[tc]);
-      segments.push_back({origin, specs[s]});
+      const auto golden =
+          std::find_if(goldens.begin(), goldens.end(),
+                       [tc = tc](const auto& g) { return g.first == tc; });
+      PROPANE_CHECK(golden != goldens.end());
+      segments.push_back({&golden->second, {}});
       group.segment_case.push_back(tc);
     }
+    std::size_t first = 0;
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      const std::size_t count = segments_by_case[s].second.size();
+      segments[s].lanes =
+          std::span<const InjectionLaneState>(staged_).subspan(first, count);
+      first += count;
+    }
     group.batch = std::make_unique<BatchedArrestmentSystem>(
-        segments, engine_.duration());
+        segments, now, engine_.duration());
     group.live = first_lanes(group.request_index.size());
-
-    if (warm_stats_ != nullptr) {
-      if (warm) {
-        warm_stats_->warm_runs.fetch_add(lanes.size(),
-                                         std::memory_order_relaxed);
-        warm_stats_->saved_ms.fetch_add(lanes.size() * start,
-                                        std::memory_order_relaxed);
-      } else {
-        warm_stats_->cold_runs.fetch_add(lanes.size(),
-                                         std::memory_order_relaxed);
-      }
-    }
-    if (stats_ != nullptr && warm) {
-      stats_->saved_lane_ms.fetch_add(lanes.size() * start,
-                                      std::memory_order_relaxed);
-    }
     return group;
   }
 
@@ -389,40 +403,9 @@ class ChunkRun {
     std::size_t built = 0;
     for (std::size_t begin = 0; begin < moved.size(); begin += width_) {
       const std::size_t count = std::min(width_, moved.size() - begin);
-      const auto segments_by_case = by_test_case(count, [&](std::size_t k) {
-        return moved[begin + k].test_case;
-      });
-      // Each segment's lanes, contiguous in staged_ (reused, so
-      // compactions allocate no per-lane storage once warm).
-      staged_.clear();
-      std::vector<ResumedSegment> segments;
-      Group group;
-      for (std::size_t s = 0; s < segments_by_case.size(); ++s) {
-        const auto& [tc, positions] = segments_by_case[s];
-        for (const std::size_t k : positions) {
-          staged_.push_back(moved[begin + k].state);
-          group.request_index.push_back(moved[begin + k].request_index);
-          group.lane_segment.push_back(s);
-        }
-        const auto golden = std::find_if(
-            pool.goldens.begin(), pool.goldens.end(),
-            [tc = tc](const auto& g) { return g.first == tc; });
-        PROPANE_CHECK(golden != pool.goldens.end());
-        segments.push_back({&golden->second, {}});
-        group.segment_case.push_back(tc);
-      }
-      std::size_t first = 0;
-      for (std::size_t s = 0; s < segments.size(); ++s) {
-        const std::size_t count_s = segments_by_case[s].second.size();
-        segments[s].lanes =
-            std::span<const InjectionLaneState>(staged_).subspan(first,
-                                                                 count_s);
-        first += count_s;
-      }
-      group.batch = std::make_unique<BatchedArrestmentSystem>(
-          segments, now, engine_.duration());
-      group.live = first_lanes(group.request_index.size());
-      groups_.push_back(std::move(group));
+      groups_.push_back(build_group(
+          std::span<const Mover>(moved).subspan(begin, count), pool.goldens,
+          now));
       ++built;
     }
 

@@ -11,19 +11,20 @@
 //      chunk's width. Lanes may mix test cases (each distinct test case
 //      becomes a kernel segment with its own golden lane) and fire ticks
 //      (a batch starts at its earliest fire tick; later lanes activate when
-//      their tick arrives). Every segment starts from its test case's
-//      golden-run checkpoint at that tick when one exists (each shared
-//      golden prefix is simulated zero times, not N times), from fresh t=0
-//      origins otherwise. The first window ends at the batch's first
-//      convergence check, kConvergenceCheckPeriod ticks in, by which time
-//      most masked errors have retired.
+//      their tick arrives). Every lane is seated as an unfired lane on its
+//      test case's golden-run checkpoint at that tick (WarmStartEngine;
+//      tick 0 is a fresh system), so each shared golden prefix is
+//      simulated zero times, not N times. The first window ends at the
+//      batch's first convergence check, kConvergenceCheckPeriod ticks in,
+//      by which time most masked errors have retired.
 //   3. After it, batches advance in fixed windows whose boundaries are
 //      absolute (multiples of the window), so batches that started at
 //      different ticks meet at the same ones.
 //   4. Wherever batches stop at the same tick they are compacted: a full
 //      batch without retired lanes stays as it is; the live lanes of the
-//      others are transplanted into ceil(live / width) dense batches, one
-//      golden lane per test case per batch. A retired lane therefore stops
+//      others are transplanted into ceil(live / width) dense batches --
+//      built from lane states exactly like the plan batches, one golden
+//      lane per test case per batch. A retired lane therefore stops
 //      costing sweeps at the next boundary, and after every compaction the
 //      lanes at that tick sit in exactly ceil(live / width) batches.
 // Each lane is reported to the executor as soon as its report is final --
@@ -89,9 +90,9 @@ struct BatchRunStats {
 /// `config.batch_size` may be at most kMaxBatchLanes (batch_system.hpp);
 /// a wider one is a ContractViolation here, before any run.
 ///
-/// `warm_stats` (optional) counts each live lane once by the origin of the
-/// batch that started it -- checkpoint or t=0 -- and the prefix
-/// milliseconds the checkpoints saved.
+/// `warm_stats` (optional) counts each live lane once by the tick of the
+/// batch that started it -- a checkpoint after tick 0, or t=0 -- and the
+/// prefix milliseconds the checkpoints saved.
 ///
 /// `telemetry` (optional, non-owning) turns on kernel profiling:
 ///   batch.group.lanes      -- histogram, injection lanes per kernel batch
@@ -100,10 +101,10 @@ struct BatchRunStats {
 ///                             its retirement (early-exit latency);
 ///   batch.kernel.ticks     -- counter, ticks simulated, summed over
 ///                             kernel batches;
-///   batch.kernel.lut_gathers / batch.kernel.exact_div_ops -- counters,
-///     kernel work derived from ticks x lanes (the environment sweep does
-///     one commanded-pressure LUT gather and four ExactDivisor divides per
-///     lane per tick).
+///   batch.kernel.lut_gathers -- counter, lane-ticks swept (ticks x
+///                             lanes, goldens included: the environment
+///                             sweep does one commanded-pressure LUT
+///                             gather per lane per tick).
 /// Handles resolve once here; each kernel batch then costs a few relaxed
 /// atomic adds when it closes -- the tick loop itself carries no
 /// instrumentation, so null telemetry is exactly the same code path.

@@ -1,12 +1,13 @@
 #include "arrestment/batch_system.hpp"
 
 #include <algorithm>
-#include <type_traits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "arrestment/constants.hpp"
 #include "common/contracts.hpp"
+#include "common/exact_div.hpp"
 #include "common/rng.hpp"
 
 #if defined(__AVX2__)
@@ -51,209 +52,83 @@ std::uint64_t diff_bits(const std::uint16_t* row, std::uint16_t golden,
 constexpr SignalSet kRestLoopState =
     kRestLoopSignals | signal_set({kSigMsSlotNbr});
 
-const ArrestmentSystem& primary_origin(
-    std::span<const BatchSegment> segments) {
-  PROPANE_REQUIRE_MSG(!segments.empty(), "batch needs at least one segment");
-  PROPANE_REQUIRE(segments.front().origin != nullptr);
-  return *segments.front().origin;
-}
-
 /// Bus lanes of a batch: one golden lane per segment plus its lanes.
-template <typename Segment>
-std::size_t total_lanes(std::span<const Segment> segments) {
+std::size_t bus_lanes(std::span<const ResumedSegment> segments) {
   std::size_t lanes = segments.size();
-  for (const Segment& segment : segments) {
-    if constexpr (std::is_same_v<Segment, BatchSegment>) {
-      lanes += segment.specs.size();
-    } else {
-      lanes += segment.lanes.size();
-    }
+  for (const ResumedSegment& segment : segments) {
+    lanes += segment.lanes.size();
   }
   return lanes;
 }
 
 }  // namespace
 
-BatchedArrestmentSystem::BatchedArrestmentSystem(
-    const ArrestmentSystem& origin, std::span<const BatchLaneSpec> specs,
-    sim::SimTime duration)
-    : BatchedArrestmentSystem(
-          std::vector<BatchSegment>{BatchSegment{&origin, specs}},
-          duration) {}
+LaneState lane_state(const ArrestmentSystem& system) {
+  PROPANE_REQUIRE_MSG(system.bus().signal_count() == kLaneSignals,
+                      "batches run the arrestment bus layout");
+  LaneState state;
+  std::copy_n(system.bus().values().begin(), kLaneSignals, state.bus.begin());
+  const Environment& env = system.environment();
+  const ExactDivisor div_mass(env.mass_kg());
+  state.env = {div_mass.divisor(), div_mass.reciprocal(), env.velocity_mps(),
+               env.position_m(), env.pressure_pa(), env.pulse_accumulator(),
+               env.peak_decel()};
+  state.dist_s = system.dist_s().snapshot();
+  state.v_reg_integrator = system.v_reg().integrator();
+  state.calc = system.calc().snapshot();
+  return state;
+}
 
-BatchedArrestmentSystem::BatchedArrestmentSystem(std::size_t lanes,
-                                                 std::size_t segments,
-                                                 sim::SimTime duration)
-    : lanes_(lanes),
+InjectionLaneState unfired_lane(const LaneState& origin,
+                                const BatchLaneSpec& spec) {
+  PROPANE_REQUIRE(spec.spec != nullptr);
+  PROPANE_REQUIRE_MSG(spec.spec->target < kLaneSignals,
+                      "injection targets unknown signal");
+  InjectionLaneState lane;
+  lane.lane = origin;
+  lane.spec = spec;
+  lane.pending = forward_closure(spec.spec->target);
+  return lane;
+}
+
+BatchedArrestmentSystem::BatchedArrestmentSystem(
+    std::span<const ResumedSegment> segments, sim::SimTime now,
+    sim::SimTime duration)
+    : lanes_(bus_lanes(segments)),
       map_(arrestment_bus_map()),
       duration_(duration),
       duration_ms_(sim::to_milliseconds(duration)),
-      bus_(kLaneSignals, lanes),
-      env_(map_, lanes),
+      bus_(kLaneSignals, lanes_),
+      now_(now),
+      env_(map_, lanes_),
       clock_(map_),
-      dist_s_(map_, lanes),
+      dist_s_(map_, lanes_),
       pres_s_(map_),
       pres_a_(map_),
-      v_reg_(map_, lanes),
-      calc_(map_, lanes) {
+      v_reg_(map_, lanes_),
+      calc_(map_, lanes_) {
   PROPANE_REQUIRE_MSG(duration_ms_ < std::uint64_t{0xFFFFFFFF},
                       "divergence ticks are kept in 32 bits");
-  PROPANE_REQUIRE_MSG(lanes_ > segments, "batch needs at least one injection");
-  const std::size_t specs = lanes_ - segments;
+  PROPANE_REQUIRE_MSG(now < duration, "batch origin must precede the horizon");
+  PROPANE_REQUIRE_MSG(lanes_ > segments.size(),
+                      "batch needs at least one injection");
+  const std::size_t specs = lanes_ - segments.size();
   PROPANE_REQUIRE_MSG(specs <= kMaxBatchLanes,
                       "a batch holds at most 64 injection lanes");
-  segments_.reserve(segments);
+  segments_.reserve(segments.size());
   specs_.reserve(specs);
   spec_lane_.reserve(specs);
   spec_golden_.reserve(specs);
   divergences_.reserve(specs * kLaneSignals);
   undiverged_.reserve(specs);
   conv_hint_.reserve(specs);
-  active_ = first_lanes(specs);
   retirement_ticks_.reserve(specs);
-}
-
-BatchedArrestmentSystem::BatchedArrestmentSystem(
-    std::span<const BatchSegment> segments, sim::SimTime duration)
-    : BatchedArrestmentSystem(total_lanes(segments), segments.size(),
-                              duration) {
-  const ArrestmentSystem& origin0 = primary_origin(segments);
-  PROPANE_REQUIRE_MSG(origin0.now() < duration,
-                      "batch origin must precede the horizon");
-  names_ = fi::intern_signal_names(origin0.bus().names());
-  for (const BatchSegment& segment : segments) {
-    PROPANE_REQUIRE(segment.origin != nullptr);
-    const ArrestmentSystem& origin = *segment.origin;
-    PROPANE_REQUIRE_MSG(origin.now() == origin0.now(),
-                        "batch segments must share the origin tick");
-    PROPANE_REQUIRE_MSG(origin.bus().signal_count() == kLaneSignals,
-                        "batches run the arrestment bus layout");
-    open_segment();
-    load_machine(segments_.back().golden_lane, origin);
-    for (const BatchLaneSpec& spec : segment.specs) {
-      PROPANE_REQUIRE(spec.spec != nullptr);
-      PROPANE_REQUIRE_MSG(spec.spec->target < kLaneSignals,
-                          "injection targets unknown signal");
-      load_machine(segments_.back().first_lane + segments_.back().count,
-                   origin);
-      // Only what the target can reach may diverge (arr/dataflow.hpp).
-      seat_lane(spec, {}, forward_closure(spec.spec->target),
-                0, false);
-    }
-  }
-  start(origin0.now());
-}
-
-BatchedArrestmentSystem::BatchedArrestmentSystem(
-    std::span<const ResumedSegment> segments, sim::SimTime now,
-    sim::SimTime duration)
-    : BatchedArrestmentSystem(total_lanes(segments), segments.size(),
-                              duration) {
-  PROPANE_REQUIRE_MSG(now < duration, "batch origin must precede the horizon");
   for (const ResumedSegment& segment : segments) {
     PROPANE_REQUIRE(segment.golden != nullptr);
     open_segment();
     load_machine(segments_.back().golden_lane, *segment.golden);
-    for (const InjectionLaneState& lane : segment.lanes) {
-      load_machine(segments_.back().first_lane + segments_.back().count,
-                   lane.lane);
-      seat_lane(lane.spec, lane.report, lane.pending, lane.conv_hint,
-                lane.fired);
-    }
+    for (const InjectionLaneState& lane : segment.lanes) seat_lane(lane);
   }
-  start(now);
-}
-
-void BatchedArrestmentSystem::open_segment() {
-  SegmentInfo info;
-  info.golden_lane = segments_.empty() ? 0
-                                       : segments_.back().first_lane +
-                                             segments_.back().count;
-  info.first_lane = info.golden_lane + 1;
-  info.first_bit = specs_.size();
-  segments_.push_back(info);
-}
-
-void BatchedArrestmentSystem::seat_lane(const BatchLaneSpec& spec,
-                                        std::span<const LaneDivergence> report,
-                                        SignalSet pending,
-                                        std::uint16_t conv_hint, bool fired) {
-  PROPANE_REQUIRE(spec.spec != nullptr);
-  PROPANE_REQUIRE(spec.spec->model.apply != nullptr);
-  PROPANE_REQUIRE_MSG(report.empty() || report.size() == kLaneSignals,
-                      "lane report must cover the bus");
-  SegmentInfo& segment = segments_.back();
-  const std::size_t j = specs_.size();
-  specs_.push_back(spec);
-  spec_lane_.push_back(
-      static_cast<std::uint32_t>(segment.first_lane + segment.count));
-  spec_golden_.push_back(static_cast<std::uint32_t>(segment.golden_lane));
-  ++segment.count;
-  if (!fired) unfired_ |= std::uint64_t{1} << j;
-  if (report.empty()) {
-    divergences_.resize(divergences_.size() + kLaneSignals);
-  } else {
-    divergences_.insert(divergences_.end(), report.begin(), report.end());
-  }
-  conv_hint_.push_back(conv_hint);
-  undiverged_.push_back(
-      static_cast<std::uint32_t>(__builtin_popcountll(pending)));
-  for (SignalSet sigs = pending; sigs != 0; sigs &= sigs - 1) {
-    pending_[static_cast<std::size_t>(__builtin_ctzll(sigs))] |=
-        std::uint64_t{1} << j;
-  }
-}
-
-void BatchedArrestmentSystem::load_machine(std::size_t lane,
-                                           const ArrestmentSystem& origin) {
-  bus_.load_lane(lane, origin.bus().values());
-  env_.load_lane(lane, origin.environment());
-  dist_s_.load_lane(lane, origin.dist_s().snapshot());
-  v_reg_.load_lane(lane, origin.v_reg().integrator());
-  calc_.load_lane(lane, origin.calc().snapshot());
-}
-
-void BatchedArrestmentSystem::load_machine(std::size_t lane,
-                                           const LaneState& state) {
-  bus_.load_lane(lane, state.bus);
-  env_.load_lane(lane, state.env);
-  dist_s_.load_lane(lane, state.dist_s);
-  v_reg_.load_lane(lane, state.v_reg_integrator);
-  calc_.load_lane(lane, state.calc);
-}
-
-LaneState BatchedArrestmentSystem::store_golden(std::size_t segment) const {
-  PROPANE_REQUIRE(segment < segments_.size());
-  const std::size_t lane = segments_[segment].golden_lane;
-  LaneState state;
-  bus_.extract_lane(lane, state.bus);
-  state.env = env_.lane_state(lane);
-  state.dist_s = dist_s_.lane_snapshot(lane);
-  state.v_reg_integrator = v_reg_.lane_integrator(lane);
-  state.calc = calc_.lane_snapshot(lane);
-  return state;
-}
-
-InjectionLaneState BatchedArrestmentSystem::store_lane(std::size_t i) const {
-  PROPANE_REQUIRE(i < specs_.size());
-  const std::size_t lane = spec_lane_[i];
-  InjectionLaneState state;
-  bus_.extract_lane(lane, state.lane.bus);
-  state.lane.env = env_.lane_state(lane);
-  state.lane.dist_s = dist_s_.lane_snapshot(lane);
-  state.lane.v_reg_integrator = v_reg_.lane_integrator(lane);
-  state.lane.calc = calc_.lane_snapshot(lane);
-  state.spec = specs_[i];
-  std::copy_n(
-      divergences_.begin() + static_cast<std::ptrdiff_t>(i * kLaneSignals),
-      kLaneSignals, state.report.begin());
-  state.pending = pending_signals(i);
-  state.conv_hint = conv_hint_[i];
-  state.fired = ((unfired_ >> i) & 1u) == 0;
-  return state;
-}
-
-void BatchedArrestmentSystem::start(sim::SimTime origin) {
   // Golden-gather tables for the vectorised screen (lanes_ <= 64; wider
   // batches screen per segment in check_divergence).
   if (lanes_ <= 64) {
@@ -267,11 +142,79 @@ void BatchedArrestmentSystem::start(sim::SimTime origin) {
       }
     }
   }
+}
+
+void BatchedArrestmentSystem::open_segment() {
+  SegmentInfo info;
+  info.golden_lane = segments_.empty() ? 0
+                                       : segments_.back().first_lane +
+                                             segments_.back().count;
+  info.first_lane = info.golden_lane + 1;
+  info.first_bit = specs_.size();
+  segments_.push_back(info);
+}
+
+void BatchedArrestmentSystem::seat_lane(const InjectionLaneState& lane) {
+  PROPANE_REQUIRE(lane.spec.spec != nullptr);
+  PROPANE_REQUIRE(lane.spec.spec->model.apply != nullptr);
+  SegmentInfo& segment = segments_.back();
+  const std::size_t j = specs_.size();
+  const std::size_t bus_lane = segment.first_lane + segment.count;
+  load_machine(bus_lane, lane.lane);
+  specs_.push_back(lane.spec);
+  spec_lane_.push_back(static_cast<std::uint32_t>(bus_lane));
+  spec_golden_.push_back(static_cast<std::uint32_t>(segment.golden_lane));
+  ++segment.count;
+  if (!lane.fired) unfired_ |= std::uint64_t{1} << j;
+  divergences_.insert(divergences_.end(), lane.report.begin(),
+                      lane.report.end());
+  conv_hint_.push_back(lane.conv_hint);
+  undiverged_.push_back(
+      static_cast<std::uint32_t>(__builtin_popcountll(lane.pending)));
   // A lane seated with nothing left to diverge on is already final.
-  for (std::size_t j = 0; j < specs_.size(); ++j) {
-    if (undiverged_[j] == 0) active_ &= ~(std::uint64_t{1} << j);
+  if (lane.pending != 0) active_ |= std::uint64_t{1} << j;
+  for (SignalSet sigs = lane.pending; sigs != 0; sigs &= sigs - 1) {
+    pending_[static_cast<std::size_t>(__builtin_ctzll(sigs))] |=
+        std::uint64_t{1} << j;
   }
-  now_ = origin;
+}
+
+void BatchedArrestmentSystem::load_machine(std::size_t lane,
+                                           const LaneState& state) {
+  bus_.load_lane(lane, state.bus);
+  env_.load_lane(lane, state.env);
+  dist_s_.load_lane(lane, state.dist_s);
+  v_reg_.load_lane(lane, state.v_reg_integrator);
+  calc_.load_lane(lane, state.calc);
+}
+
+LaneState BatchedArrestmentSystem::store_machine(std::size_t lane) const {
+  LaneState state;
+  bus_.extract_lane(lane, state.bus);
+  state.env = env_.lane_state(lane);
+  state.dist_s = dist_s_.lane_snapshot(lane);
+  state.v_reg_integrator = v_reg_.lane_integrator(lane);
+  state.calc = calc_.lane_snapshot(lane);
+  return state;
+}
+
+LaneState BatchedArrestmentSystem::store_golden(std::size_t segment) const {
+  PROPANE_REQUIRE(segment < segments_.size());
+  return store_machine(segments_[segment].golden_lane);
+}
+
+InjectionLaneState BatchedArrestmentSystem::store_lane(std::size_t i) const {
+  PROPANE_REQUIRE(i < specs_.size());
+  InjectionLaneState state;
+  state.lane = store_machine(spec_lane_[i]);
+  state.spec = specs_[i];
+  std::copy_n(
+      divergences_.begin() + static_cast<std::ptrdiff_t>(i * kLaneSignals),
+      kLaneSignals, state.report.begin());
+  state.pending = pending_signals(i);
+  state.conv_hint = conv_hint_[i];
+  state.fired = ((unfired_ >> i) & 1u) == 0;
+  return state;
 }
 
 // One tick is one 1-ms slot of the target system, its steps in
@@ -311,9 +254,10 @@ void BatchedArrestmentSystem::enable_recording(const fi::TraceSet* prefix) {
 void BatchedArrestmentSystem::enable_recording(
     std::span<const fi::TraceSet* const> prefixes) {
   PROPANE_REQUIRE_MSG(ticks_ == 0, "enable_recording must precede run()");
-  PROPANE_REQUIRE_MSG(names_ != nullptr, "a resumed batch cannot record");
   PROPANE_REQUIRE_MSG(prefixes.size() == segments_.size(),
                       "one prefix per segment");
+  const fi::SignalNameTable names = fi::intern_signal_names(
+      std::vector<std::string>(kAllSignals.begin(), kAllSignals.end()));
   recording_ = true;
   traces_.reserve(lanes_);
   for (std::size_t s = 0; s < segments_.size(); ++s) {
@@ -330,7 +274,7 @@ void BatchedArrestmentSystem::enable_recording(
     // (segments are laid out lane-contiguously, so traces_ indexes by bus
     // lane).
     for (std::size_t l = 0; l <= segments_[s].count; ++l) {
-      fi::TraceSet trace(names_);
+      fi::TraceSet trace(names);
       trace.reserve(duration_ms_);
       if (prefix != nullptr) {
         trace.append_rows({prefix->data(), prefix_rows * kLaneSignals});

@@ -44,14 +44,17 @@
 // (their state is dead); the simulation stops once every injection lane
 // retired or the horizon is reached.
 //
-// Windows and lane transplant: advance(until) simulates up to a tick and
-// stops, with the still-live lanes' reports not yet final. store_lane and
-// store_golden capture a lane's whole state, and the resuming constructor
-// loads such lanes -- from any number of batches that stopped at the same
-// tick -- into a fresh, dense batch that continues exactly where they
-// left off. Lanes never interact, so a lane's report is bit-identical
-// whichever batches it travels through (batch_runner.hpp compacts its
-// batches this way between fixed windows).
+// Lane states: a batch is built from nothing but lane states -- one per
+// golden lane, one per injection lane, all at the tick the batch starts
+// from. lane_state captures a scalar system (a golden-run checkpoint, or a
+// fresh system at t=0), unfired_lane seats a planned injection on such a
+// state, and store_lane/store_golden capture a lane of a batch that
+// stopped. advance(until) simulates up to a tick and stops, with the
+// still-live lanes' reports not yet final; their stored states -- from any
+// number of batches that stopped at the same tick -- build a fresh, dense
+// batch that continues exactly where they left off. Lanes never interact,
+// so a lane's report is bit-identical whichever batches it travels through
+// (batch_runner.hpp compacts its batches this way between fixed windows).
 //
 // Lane sets: a batch holds at most kMaxBatchLanes injection lanes, so
 // every set of them -- live lanes, unfired lanes, the lanes still waiting
@@ -60,7 +63,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -77,15 +79,6 @@ namespace propane::arr {
 struct BatchLaneSpec {
   const fi::InjectionSpec* spec = nullptr;
   std::uint64_t rng_seed = 0;
-};
-
-/// One test-case segment of a batch: a golden-run origin system at the
-/// batch's shared start tick, plus the injection lanes that compare
-/// against it. `origin` and `specs` are borrowed and must outlive the
-/// batch's construction (`origin`) / the batch (`specs` elements).
-struct BatchSegment {
-  const ArrestmentSystem* origin = nullptr;
-  std::span<const BatchLaneSpec> specs;
 };
 
 /// Convergence is checked once per this many ticks: often enough that a
@@ -146,9 +139,18 @@ struct InjectionLaneState {
   bool fired = false;
 };
 
-/// One test-case segment of a resumed batch: the golden lane of its test
-/// case and the injection lanes that compare against it, all stored at the
-/// tick the batch resumes from. Borrowed for the constructor call only.
+/// `system`'s whole state at its current tick, as a lane carries it.
+LaneState lane_state(const ArrestmentSystem& system);
+
+/// An injection lane about to start from `origin`: nothing diverged, the
+/// injection not fired, and pending exactly the signals its target can
+/// reach (arr/dataflow.hpp) -- the others never diverge.
+InjectionLaneState unfired_lane(const LaneState& origin,
+                                const BatchLaneSpec& spec);
+
+/// One test-case segment of a batch: the golden lane of its test case and
+/// the injection lanes that compare against it, all at the tick the batch
+/// starts from. Borrowed for the constructor call only.
 struct ResumedSegment {
   const LaneState* golden = nullptr;
   std::span<const InjectionLaneState> lanes;
@@ -156,22 +158,14 @@ struct ResumedSegment {
 
 class BatchedArrestmentSystem {
  public:
-  /// Replicates `origin` -- a golden-run system at its current tick
-  /// (a golden-run checkpoint, or a fresh system for a batch starting at
-  /// tick 0) -- across `specs.size() + 1` lanes. The batch simulates from
-  /// origin.now() to `duration`. (Single-segment convenience form.)
-  BatchedArrestmentSystem(const ArrestmentSystem& origin,
-                          std::span<const BatchLaneSpec> specs,
-                          sim::SimTime duration);
-
-  /// Cross-test-case form: one golden lane per segment, every origin at
-  /// the same current tick. Lanes are laid out segment-contiguously
-  /// ([golden 0, lanes 0..., golden 1, lanes 1...]); injection lane
-  /// indices (reports, take_lane_trace) count specs across segments in
-  /// order. The segments carry between one and kMaxBatchLanes injection
-  /// lanes in all.
-  BatchedArrestmentSystem(std::span<const BatchSegment> segments,
-                          sim::SimTime duration);
+  /// Seats `segments` at simulated time `now` (ms-aligned, the tick every
+  /// lane state was taken at) and simulates on to `duration`. Lanes are
+  /// laid out segment-contiguously ([golden 0, lanes 0..., golden 1,
+  /// lanes 1...]); injection lane indices (reports, store_lane,
+  /// take_lane_trace) count lanes across segments in order. The segments
+  /// carry between one and kMaxBatchLanes injection lanes in all.
+  BatchedArrestmentSystem(std::span<const ResumedSegment> segments,
+                          sim::SimTime now, sim::SimTime duration);
   ~BatchedArrestmentSystem();
 
   BatchedArrestmentSystem(const BatchedArrestmentSystem&) = delete;
@@ -179,19 +173,13 @@ class BatchedArrestmentSystem {
 
   /// Test/diagnostic mode: materialise a full per-lane trace (golden lane
   /// included) and disable early exit so every lane covers the horizon.
-  /// `prefix` seeds each trace with the rows before origin.now() (pass the
-  /// checkpoint's shared golden trace -- rows past the origin tick are
-  /// ignored -- or nullptr when the origin starts at t=0). Must be called
-  /// before run(). Single-segment batches only; the span overload below
-  /// takes one prefix per segment.
+  /// `prefix` seeds each trace with the rows before now() (pass the test
+  /// case's golden trace -- rows past now() are ignored -- or nullptr when
+  /// the batch starts at t=0). Must be called before run().
+  /// Single-segment batches only; the span overload below takes one prefix
+  /// per segment.
   void enable_recording(const fi::TraceSet* prefix);
   void enable_recording(std::span<const fi::TraceSet* const> prefixes);
-
-  /// Resumes transplanted lanes at simulated time `now` (ms-aligned, the
-  /// tick every stored lane stopped at). Lanes are laid out, and bounded,
-  /// as in the cross-test-case form; a resumed batch cannot record traces.
-  BatchedArrestmentSystem(std::span<const ResumedSegment> segments,
-                          sim::SimTime now, sim::SimTime duration);
 
   /// Simulates to the horizon (or until every injection lane retired) and
   /// returns one final DivergenceReport per injection lane, in spec order.
@@ -236,7 +224,7 @@ class BatchedArrestmentSystem {
 
   /// Recorded traces (recording mode, after run()): injection lane `i` in
   /// cross-segment spec order, or a segment's golden lane (segment 0 by
-  /// default, matching the single-segment constructor).
+  /// default).
   fi::TraceSet take_lane_trace(std::size_t i);
   fi::TraceSet take_golden_trace(std::size_t segment = 0);
 
@@ -252,20 +240,12 @@ class BatchedArrestmentSystem {
     std::size_t count = 0;
   };
 
-  /// Sizes every lane row; the public constructors then seat the segments.
-  BatchedArrestmentSystem(std::size_t lanes, std::size_t segments,
-                          sim::SimTime duration);
   /// Opens a segment whose golden lane is the next bus lane.
   void open_segment();
-  /// Seats an injection lane of the current segment at the next bus lane;
-  /// an empty `report` seats a lane with nothing diverged yet.
-  void seat_lane(const BatchLaneSpec& spec,
-                 std::span<const LaneDivergence> report,
-                 SignalSet pending, std::uint16_t conv_hint, bool fired);
-  void load_machine(std::size_t lane, const ArrestmentSystem& origin);
+  /// Seats an injection lane of the current segment at the next bus lane.
+  void seat_lane(const InjectionLaneState& lane);
   void load_machine(std::size_t lane, const LaneState& state);
-  /// Screen tables and clock position, once every lane is seated.
-  void start(sim::SimTime origin);
+  LaneState store_machine(std::size_t lane) const;
 
   /// One millisecond of every lane: injections, environment, modules,
   /// observation.
@@ -291,7 +271,6 @@ class BatchedArrestmentSystem {
   BusMap map_;
   sim::SimTime duration_;
   std::uint64_t duration_ms_;
-  fi::SignalNameTable names_;
 
   fi::BatchedSignalBus bus_;
   sim::SimTime now_ = 0;

@@ -82,15 +82,6 @@ void BatchedEnvironment::load_lane(std::size_t lane, const LaneState& state) {
   peak_decel_[lane] = state.peak_decel;
 }
 
-void BatchedEnvironment::load_lane(std::size_t lane,
-                                   const Environment& origin) {
-  const ExactDivisor div_mass(origin.mass_kg());
-  load_lane(lane, LaneState{div_mass.divisor(), div_mass.reciprocal(),
-                            origin.velocity_mps(), origin.position_m(),
-                            origin.pressure_pa(), origin.pulse_accumulator(),
-                            origin.peak_decel()});
-}
-
 namespace {
 
 /// Commanded pressure for every possible TOC2 value. Each entry is

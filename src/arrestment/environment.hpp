@@ -110,8 +110,6 @@ class BatchedEnvironment {
   void load_lane(std::size_t lane, const LaneState& state);
   double lane_velocity(std::size_t lane) const { return velocity_[lane]; }
   double lane_pressure(std::size_t lane) const { return pressure_[lane]; }
-  /// Seeds one lane with `origin`'s physical state.
-  void load_lane(std::size_t lane, const Environment& origin);
 
   /// Advances every lane by one millisecond ending at `now`, publishing
   /// the sensor rows (PACNT, TIC1, TCNT, ADC) and consuming TOC2.

@@ -16,29 +16,6 @@ ArrestmentSystem::ArrestmentSystem(const TestCase& test_case)
       v_reg_(map_),
       pres_a_(map_) {}
 
-ArrestmentSystem::ArrestmentSystem(const ArrestmentSystem& other)
-    : bus_(other.bus_),
-      map_(other.map_),
-      env_(other.env_),
-      clock_(other.clock_),
-      dist_s_(other.dist_s_),
-      pres_s_(other.pres_s_),
-      calc_(other.calc_),
-      v_reg_(other.v_reg_),
-      pres_a_(other.pres_a_),
-      now_(other.now_),
-      prev_i_(other.prev_i_),
-      prev_slow_(other.prev_slow_),
-      prev_stopped_(other.prev_stopped_),
-      brake_engaged_(other.brake_engaged_) {
-  // Injection drivers hold a reference to their owning system's bus and
-  // cannot be rebound; a snapshot therefore requires the source to have
-  // none (true for golden runs, where checkpoints are taken). The copy's
-  // first tick initialises fresh injectors from its own RunOptions.
-  PROPANE_REQUIRE_MSG(other.injectors_.empty(),
-                      "cannot snapshot a system with active injectors");
-}
-
 void ArrestmentSystem::tick(const RunOptions& options) {
   // 1. Fault injection. The paper's campaigns inject exactly one error
   // per run; extra_injections extends this for the multi-fault ablation.

@@ -78,13 +78,7 @@ class ArrestmentSystem {
  public:
   explicit ArrestmentSystem(const TestCase& test_case);
 
-  /// Snapshot copy: duplicates the complete simulation state (bus,
-  /// environment, module-internal state, clock) so a run can be resumed
-  /// from the copy. Requires that no injection driver is active in the
-  /// source (checkpoints are taken during golden runs); the copy
-  /// re-initialises its own injectors from the options of its first tick,
-  /// exactly as a fresh system would at t=0.
-  ArrestmentSystem(const ArrestmentSystem& other);
+  ArrestmentSystem(const ArrestmentSystem&) = delete;
   ArrestmentSystem& operator=(const ArrestmentSystem&) = delete;
 
   /// Executes one millisecond tick.
@@ -97,8 +91,8 @@ class ArrestmentSystem {
   sim::SimTime now() const { return now_; }
   std::uint64_t current_ms() const { return sim::to_milliseconds(now_); }
 
-  // Module-internal state, read-only: the batched kernel replicates a
-  // checkpointed system across lanes from these.
+  // Module-internal state, read-only: lane_state (batch_system.hpp)
+  // captures a system as a batch lane from these.
   const DistSModule& dist_s() const { return dist_s_; }
   const CalcModule& calc() const { return calc_; }
   const VRegModule& v_reg() const { return v_reg_; }

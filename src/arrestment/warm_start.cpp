@@ -12,20 +12,22 @@ WarmStartEngine::WarmStartEngine(std::vector<TestCase> cases,
                                  sim::SimTime duration)
     : cases_(std::move(cases)),
       duration_(duration),
-      duration_ms_(sim::to_milliseconds(duration)) {
+      duration_ms_(sim::to_milliseconds(duration)),
+      checkpoint_ms_{0} {
   PROPANE_REQUIRE(!cases_.empty());
-  // Distinct fire ticks, ascending. A fire tick of 0 has no prefix to
-  // reuse, and one at/after the run end never fires: neither is captured.
+  // Distinct fire ticks, ascending. One at/after the run end never fires.
   for (const fi::InjectionSpec& spec : config.injections) {
     const std::uint64_t fire = fi::injection_fire_ms(spec.when);
-    if (fire > 0 && fire < duration_ms_) checkpoint_ms_.push_back(fire);
+    if (fire < duration_ms_) checkpoint_ms_.push_back(fire);
   }
   std::sort(checkpoint_ms_.begin(), checkpoint_ms_.end());
   checkpoint_ms_.erase(
       std::unique(checkpoint_ms_.begin(), checkpoint_ms_.end()),
       checkpoint_ms_.end());
-  slots_.resize(cases_.size());
-  for (auto& per_case : slots_) per_case.resize(checkpoint_ms_.size());
+  states_.reserve(cases_.size());
+  for (const TestCase& test_case : cases_) {
+    states_.push_back({lane_state(ArrestmentSystem(test_case))});
+  }
 }
 
 fi::TraceSet WarmStartEngine::run(const fi::RunRequest& request) {
@@ -41,44 +43,35 @@ fi::TraceSet WarmStartEngine::golden_run(const fi::RunRequest& request) {
   options.duration = duration_;
   options.rng_seed = request.rng_seed;
 
-  std::vector<std::pair<std::size_t, std::unique_ptr<ArrestmentSystem>>>
-      snapshots;
+  std::vector<LaneState> states(checkpoint_ms_.size());
   std::size_t next = 0;
   while (system.now() < duration_) {
     if (next < checkpoint_ms_.size() &&
         system.current_ms() == checkpoint_ms_[next]) {
-      snapshots.emplace_back(next, std::make_unique<ArrestmentSystem>(system));
-      ++next;
+      states[next++] = lane_state(system);
     }
     system.tick(options);
     recorder.sample();
   }
-  if (!snapshots.empty()) publish(request.test_case, std::move(snapshots));
+  {
+    std::scoped_lock lock(mutex_);
+    states_[request.test_case] = std::move(states);
+  }
   return recorder.take();
 }
 
-void WarmStartEngine::publish(
-    std::uint32_t test_case,
-    std::vector<std::pair<std::size_t, std::unique_ptr<ArrestmentSystem>>>
-        snapshots) {
-  std::scoped_lock lock(mutex_);
-  for (auto& [slot, system] : snapshots) {
-    auto checkpoint = std::make_shared<Checkpoint>();
-    checkpoint->system = std::move(system);
-    checkpoint->ms = checkpoint_ms_[slot];
-    slots_[test_case][slot] = std::move(checkpoint);
-  }
-}
-
-std::shared_ptr<const WarmStartEngine::Checkpoint> WarmStartEngine::lookup(
-    std::uint32_t test_case, std::uint64_t fire_ms) const {
+LaneState WarmStartEngine::origin(std::uint32_t test_case,
+                                  std::uint64_t fire_ms) const {
   PROPANE_REQUIRE(test_case < cases_.size());
   const auto it = std::lower_bound(checkpoint_ms_.begin(),
                                    checkpoint_ms_.end(), fire_ms);
-  if (it == checkpoint_ms_.end() || *it != fire_ms) return nullptr;
+  PROPANE_REQUIRE_MSG(it != checkpoint_ms_.end() && *it == fire_ms,
+                      "no checkpoint planned at this tick");
   const auto slot = static_cast<std::size_t>(it - checkpoint_ms_.begin());
   std::scoped_lock lock(mutex_);
-  return slots_[test_case][slot];
+  PROPANE_REQUIRE_MSG(slot < states_[test_case].size(),
+                      "the test case's golden run has not executed yet");
+  return states_[test_case][slot];
 }
 
 }  // namespace propane::arr

@@ -10,7 +10,7 @@
 // Layout: signal-major. Row `sig` occupies values_[sig * lane_count ..],
 // so per-signal sweeps (module updates, divergence checks against the
 // golden lane) are unit-stride; per-lane gathers (extract_lane for trace
-// materialisation, scalar fallback sync) stride by lane_count and are only
+// materialisation and lane transplant) stride by lane_count and are only
 // used off the hot path.
 #pragma once
 
@@ -66,8 +66,8 @@ class BatchedSignalBus {
   }
 
   /// Copies one lane's value of every signal (id order) into `out`.
-  /// Strided gather; used to materialise traces and to sync the scratch
-  /// bus of scalar-fallback modules, not in vectorized inner loops.
+  /// Strided gather; used to materialise traces and to store a lane for
+  /// transplant, not in vectorized inner loops.
   void extract_lane(std::size_t lane,
                     std::span<std::uint16_t> out) const {
     PROPANE_REQUIRE(lane < lanes_);

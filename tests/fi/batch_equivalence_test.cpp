@@ -154,6 +154,33 @@ class ChunkLog {
   std::size_t duplicates_ = 0;
 };
 
+/// A batch of unfired lanes starting at the origins' common tick: one
+/// segment per origin, carrying its lanes.
+BatchedArrestmentSystem fresh_batch(
+    const std::vector<const ArrestmentSystem*>& origins,
+    const std::vector<std::vector<BatchLaneSpec>>& lanes,
+    sim::SimTime duration) {
+  std::vector<LaneState> goldens;
+  std::vector<std::vector<InjectionLaneState>> seated(lanes.size());
+  for (std::size_t s = 0; s < lanes.size(); ++s) {
+    goldens.push_back(lane_state(*origins[s]));
+    for (const BatchLaneSpec& spec : lanes[s]) {
+      seated[s].push_back(unfired_lane(goldens.back(), spec));
+    }
+  }
+  std::vector<ResumedSegment> segments;
+  for (std::size_t s = 0; s < lanes.size(); ++s) {
+    segments.push_back(ResumedSegment{&goldens[s], seated[s]});
+  }
+  return BatchedArrestmentSystem(segments, origins.front()->now(), duration);
+}
+
+BatchedArrestmentSystem fresh_batch(const ArrestmentSystem& origin,
+                                    const std::vector<BatchLaneSpec>& lanes,
+                                    sim::SimTime duration) {
+  return fresh_batch({&origin}, {lanes}, duration);
+}
+
 // --- Kernel-level trace identity -----------------------------------------
 
 TEST(BatchKernel, ColdBatchRecordsBitIdenticalLaneTraces) {
@@ -172,7 +199,7 @@ TEST(BatchKernel, ColdBatchRecordsBitIdenticalLaneTraces) {
   }
 
   const ArrestmentSystem origin(test_case);
-  BatchedArrestmentSystem batch(origin, lanes, kShortRun);
+  BatchedArrestmentSystem batch = fresh_batch(origin, lanes, kShortRun);
   batch.enable_recording(nullptr);
   const std::vector<fi::DivergenceReport> reports = batch.run();
   ASSERT_EQ(reports.size(), specs.size());
@@ -204,10 +231,7 @@ TEST(BatchKernel, WarmCheckpointBatchRecordsBitIdenticalLaneTraces) {
   fi::RunRequest golden_request;  // captures the checkpoints
   const fi::TraceSet golden = engine.run(golden_request);
 
-  const std::shared_ptr<const WarmStartEngine::Checkpoint> checkpoint =
-      engine.lookup(0, 50);
-  ASSERT_NE(checkpoint, nullptr);
-  EXPECT_EQ(checkpoint->ms, 50u);
+  const LaneState checkpoint = engine.origin(0, 50);
 
   const std::vector<fi::InjectionSpec> specs = {
       fi::InjectionSpec{bus_id("pulscnt"), 50 * sim::kMillisecond,
@@ -215,11 +239,12 @@ TEST(BatchKernel, WarmCheckpointBatchRecordsBitIdenticalLaneTraces) {
       fi::InjectionSpec{bus_id("PACNT"), 50 * sim::kMillisecond,
                         fi::random_replacement()},
   };
-  std::vector<BatchLaneSpec> lanes;
+  std::vector<InjectionLaneState> lanes;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    lanes.push_back(BatchLaneSpec{&specs[i], 40 + i});
+    lanes.push_back(unfired_lane(checkpoint, BatchLaneSpec{&specs[i], 40 + i}));
   }
-  BatchedArrestmentSystem batch(*checkpoint->system, lanes, kShortRun);
+  const ResumedSegment segments[] = {ResumedSegment{&checkpoint, lanes}};
+  BatchedArrestmentSystem batch(segments, 50 * sim::kMillisecond, kShortRun);
   batch.enable_recording(&golden);
   batch.run();
 
@@ -236,16 +261,6 @@ TEST(BatchKernel, WarmCheckpointBatchRecordsBitIdenticalLaneTraces) {
 }
 
 // --- Windows and lane transplant ----------------------------------------
-
-std::vector<BatchSegment> segments_of(
-    const std::vector<const ArrestmentSystem*>& origins,
-    const std::vector<std::vector<BatchLaneSpec>>& lanes) {
-  std::vector<BatchSegment> segments;
-  for (std::size_t s = 0; s < lanes.size(); ++s) {
-    segments.push_back(BatchSegment{origins[s], lanes[s]});
-  }
-  return segments;
-}
 
 ::testing::AssertionResult lane_states_identical(const LaneState& a,
                                                  const LaneState& b) {
@@ -323,8 +338,8 @@ TEST(BatchKernel, TransplantRoundTripPreservesLaneState) {
   for (std::size_t i = 0; i < 24; ++i) {
     lanes[i % 2].push_back(BatchLaneSpec{&specs[i], 300 + i});
   }
-  BatchedArrestmentSystem source(segments_of({&origin0, &origin1}, lanes),
-                                 kShortRun);
+  BatchedArrestmentSystem source =
+      fresh_batch({&origin0, &origin1}, lanes, kShortRun);
   // Past the 40 ms fire of the staggered lanes: fired and unfired lanes
   // were both stored at 30 ms in the second round below.
   for (const sim::SimTime stop :
@@ -351,8 +366,8 @@ TEST(BatchKernel, TransplantRoundTripPreservesLaneState) {
           << "lane " << j;
     }
 
-    BatchedArrestmentSystem whole(segments_of({&origin0, &origin1}, lanes),
-                                  kShortRun);
+    BatchedArrestmentSystem whole =
+        fresh_batch({&origin0, &origin1}, lanes, kShortRun);
     const std::vector<fi::DivergenceReport> expected = whole.run();
     const std::vector<fi::DivergenceReport> got = resumed.run();
     for (std::size_t j = 0; j < 24; ++j) {
@@ -389,11 +404,11 @@ TEST(BatchKernel, WindowedTransplantMatchesUninterruptedRun) {
     std::vector<std::vector<fi::DivergenceReport>> expected;
     for (std::size_t b = 0; b < 2; ++b) {
       if (lanes[b][0].empty() && lanes[b][1].empty()) continue;
-      BatchedArrestmentSystem whole(segments_of(origins, lanes[b]),
-                                    kShortRun);
+      BatchedArrestmentSystem whole = fresh_batch(origins, lanes[b], kShortRun);
       expected.push_back(whole.run());
-      sources.push_back(std::make_unique<BatchedArrestmentSystem>(
-          segments_of(origins, lanes[b]), kShortRun));
+      sources.push_back(std::unique_ptr<BatchedArrestmentSystem>(
+          new BatchedArrestmentSystem(
+              fresh_batch(origins, lanes[b], kShortRun))));
     }
 
     // First window, then every live lane of both sources into one batch.
@@ -469,9 +484,9 @@ TEST(BatchKernel, WindowReachingTheHorizonFinalisesEveryLane) {
     lanes.push_back(BatchLaneSpec{&specs[i], 700 + i});
   }
 
-  BatchedArrestmentSystem whole(origin, lanes, kShortRun);
+  BatchedArrestmentSystem whole = fresh_batch(origin, lanes, kShortRun);
   const std::vector<fi::DivergenceReport> expected = whole.run();
-  BatchedArrestmentSystem windowed(origin, lanes, kShortRun);
+  BatchedArrestmentSystem windowed = fresh_batch(origin, lanes, kShortRun);
   windowed.advance(start + static_cast<sim::SimTime>(kConvergenceCheckPeriod) *
                                sim::kMillisecond);
   EXPECT_EQ(windowed.ticks_simulated(), kLeftTicks);
@@ -542,8 +557,8 @@ TEST(BatchCampaign, RecordsMatchScalarForEveryBatchSize) {
 }
 
 // Warm start is disabled by the plan itself: every injection fires at
-// tick 0, which has no golden prefix to resume from, so every batch starts
-// from fresh t=0 origins -- run_batch's cold branch.
+// tick 0, which has no golden prefix to skip, so every batch starts from
+// the engine's tick-0 states, those of fresh systems.
 TEST(BatchCampaign, ColdBatchesMatchScalarWhenWarmStartDisabled) {
   const std::vector<TestCase> cases = grid_test_cases(1, 2);
   fi::CampaignConfig config;
@@ -701,9 +716,12 @@ fi::CampaignConfig sparse_plan_config() {
 
 TEST(BatchKernel, PackedCrossCaseStaggeredBatchRecordsBitIdenticalTraces) {
   const std::vector<TestCase> cases = grid_test_cases(1, 2);
-  // Segment 0 (test case 0) carries two lanes, one firing after the batch
-  // origin (staggered activation); segment 1 (test case 1) carries one.
-  const std::vector<fi::InjectionSpec> specs = {
+  // Segment 0 (test case 0) carries the first `in_case0` lanes, segment 1
+  // (test case 1) the rest. Three lanes, one firing after the batch origin
+  // (staggered activation); and 64 lanes, 66 bus lanes with the goldens,
+  // past the golden gather's reach, so the per-segment screen runs on
+  // every host.
+  const std::vector<fi::InjectionSpec> three = {
       fi::InjectionSpec{bus_id("pulscnt"), 40 * sim::kMillisecond,
                         fi::bit_flip(3)},
       fi::InjectionSpec{bus_id("PACNT"), 90 * sim::kMillisecond,
@@ -711,42 +729,48 @@ TEST(BatchKernel, PackedCrossCaseStaggeredBatchRecordsBitIdenticalTraces) {
       fi::InjectionSpec{bus_id("SetValue"), 40 * sim::kMillisecond,
                         fi::bit_flip(12)},
   };
-  const std::vector<BatchLaneSpec> lanes0 = {BatchLaneSpec{&specs[0], 11},
-                                             BatchLaneSpec{&specs[1], 12}};
-  const std::vector<BatchLaneSpec> lanes1 = {BatchLaneSpec{&specs[2], 13}};
-  const ArrestmentSystem origin0(cases[0]);
-  const ArrestmentSystem origin1(cases[1]);
-  const std::vector<BatchSegment> segments = {BatchSegment{&origin0, lanes0},
-                                              BatchSegment{&origin1, lanes1}};
-  BatchedArrestmentSystem batch(segments, kShortRun);
-  const fi::TraceSet* prefixes[] = {nullptr, nullptr};
-  batch.enable_recording(std::span<const fi::TraceSet* const>(prefixes, 2));
-  const std::vector<fi::DivergenceReport> reports = batch.run();
-  ASSERT_EQ(reports.size(), specs.size());
+  const std::vector<fi::InjectionSpec> many = mixed_specs();
+  const std::pair<const std::vector<fi::InjectionSpec>*, std::size_t>
+      inputs[] = {{&three, 2}, {&many, 32}};
 
   RunOptions golden_options;
   golden_options.duration = kShortRun;
-  for (std::size_t tc = 0; tc < cases.size(); ++tc) {
-    EXPECT_TRUE(
-        traces_identical(batch.take_golden_trace(tc),
-                         run_arrestment(cases[tc], golden_options).trace))
-        << "golden " << tc;
-  }
-  const std::uint32_t spec_case[] = {0, 0, 1};
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    RunOptions options;
-    options.duration = kShortRun;
-    options.injection = specs[i];
-    options.rng_seed = 11 + i;
-    const RunOutcome scalar = run_arrestment(cases[spec_case[i]], options);
-    EXPECT_TRUE(traces_identical(batch.take_lane_trace(i), scalar.trace))
-        << "lane " << i;
-    EXPECT_TRUE(reports_identical(
-        reports[i],
-        fi::compare_to_golden(
-            run_arrestment(cases[spec_case[i]], golden_options).trace,
-            scalar.trace)))
-        << "lane " << i;
+  const fi::TraceSet goldens[] = {
+      run_arrestment(cases[0], golden_options).trace,
+      run_arrestment(cases[1], golden_options).trace};
+  const ArrestmentSystem origin0(cases[0]);
+  const ArrestmentSystem origin1(cases[1]);
+  for (const auto& [specs, in_case0] : inputs) {
+    SCOPED_TRACE("lanes=" + std::to_string(specs->size()));
+    std::vector<std::vector<BatchLaneSpec>> lanes(2);
+    for (std::size_t i = 0; i < specs->size(); ++i) {
+      lanes[i < in_case0 ? 0 : 1].push_back(
+          BatchLaneSpec{&(*specs)[i], 11 + i});
+    }
+    BatchedArrestmentSystem batch =
+        fresh_batch({&origin0, &origin1}, lanes, kShortRun);
+    const fi::TraceSet* prefixes[] = {nullptr, nullptr};
+    batch.enable_recording(std::span<const fi::TraceSet* const>(prefixes, 2));
+    const std::vector<fi::DivergenceReport> reports = batch.run();
+    ASSERT_EQ(reports.size(), specs->size());
+
+    for (std::size_t tc = 0; tc < cases.size(); ++tc) {
+      EXPECT_TRUE(traces_identical(batch.take_golden_trace(tc), goldens[tc]))
+          << "golden " << tc;
+    }
+    for (std::size_t i = 0; i < specs->size(); ++i) {
+      const std::size_t tc = i < in_case0 ? 0 : 1;
+      RunOptions options;
+      options.duration = kShortRun;
+      options.injection = (*specs)[i];
+      options.rng_seed = 11 + i;
+      const RunOutcome scalar = run_arrestment(cases[tc], options);
+      EXPECT_TRUE(traces_identical(batch.take_lane_trace(i), scalar.trace))
+          << "lane " << i;
+      EXPECT_TRUE(reports_identical(
+          reports[i], fi::compare_to_golden(goldens[tc], scalar.trace)))
+          << "lane " << i;
+    }
   }
 }
 
@@ -761,10 +785,8 @@ TEST(BatchKernel, ZeroLaneSegmentCoexistsWithPackedLanes) {
   const ArrestmentSystem origin1(cases[1]);
   // Segment 0 contributes only its golden lane (count == 0); the screen
   // and the convergence scan must skip it without touching its bit range.
-  const std::vector<BatchSegment> segments = {
-      BatchSegment{&origin0, std::span<const BatchLaneSpec>{}},
-      BatchSegment{&origin1, lanes1}};
-  BatchedArrestmentSystem batch(segments, kShortRun);
+  BatchedArrestmentSystem batch =
+      fresh_batch({&origin0, &origin1}, {{}, lanes1}, kShortRun);
   const fi::TraceSet* prefixes[] = {nullptr, nullptr};
   batch.enable_recording(std::span<const fi::TraceSet* const>(prefixes, 2));
   const std::vector<fi::DivergenceReport> reports = batch.run();
@@ -994,7 +1016,7 @@ TEST(BatchKernel, LaneAtRestWaitsOutTheTickItsInjectionFiredIn) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     lanes.push_back(BatchLaneSpec{&specs[i], 1100 + i});
   }
-  BatchedArrestmentSystem batch(origin, lanes, kRunDuration);
+  BatchedArrestmentSystem batch = fresh_batch(origin, lanes, kRunDuration);
   const std::vector<fi::DivergenceReport> reports = batch.run();
 
   const RunOutcome golden = run_arrestment(test_case);
@@ -1127,12 +1149,10 @@ TEST(BatchKernel, BatchWiderThanOneLaneWordIsRejected) {
   std::vector<BatchLaneSpec> lanes(kMaxBatchLanes + 1,
                                    BatchLaneSpec{&spec, 7});
   const ArrestmentSystem origin(test_case);
-  EXPECT_THROW(BatchedArrestmentSystem(
-                   origin, std::span<const BatchLaneSpec>(lanes), kShortRun),
-               ContractViolation);
+  EXPECT_THROW(fresh_batch(origin, lanes, kShortRun), ContractViolation);
   // One lane fewer fills the lane word exactly.
   lanes.pop_back();
-  BatchedArrestmentSystem batch(origin, lanes, kShortRun);
+  BatchedArrestmentSystem batch = fresh_batch(origin, lanes, kShortRun);
   EXPECT_EQ(batch.run().size(), kMaxBatchLanes);
 }
 
